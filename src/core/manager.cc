@@ -162,27 +162,9 @@ Result<InstanceId> Manager::AdmitJoin(const NodeAddress& new_instance,
   // the cluster layout to accept migrations.
   PushTableTo(new_instance, 0);
 
-  for (const PlacementMove& move : moves) {
-    Status status =
-        CommandMigration(move.from_address, move.partition, move.to_address);
-    if (!status.ok()) {
-      ZHT_WARN << "migration of partition " << move.partition
-               << " failed: " << status.ToString();
-      continue;  // partition stays put; membership unchanged
-    }
-    std::uint32_t push_from;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      push_from = table_.epoch() > 0 ? table_.epoch() - 1 : 0;
-      table_.SetOwner(move.partition, move.to);
-      ++stats_.partitions_migrated;
-    }
-    // The two parties must learn the new ownership immediately (the donor
-    // now redirects, the recipient now serves); everyone else learns from
-    // the final broadcast, clients lazily.
-    PushTableTo(move.from_address, push_from);
-    PushTableTo(move.to_address, 0);
-  }
+  // A failed move leaves its partition with the current owner; the join
+  // itself still stands.
+  (void)ExecuteMoves(moves);
 
   std::vector<PartitionId> chain_changed;
   {
@@ -204,10 +186,37 @@ Result<InstanceId> Manager::AdmitJoin(const NodeAddress& new_instance,
   return fresh;
 }
 
+Status Manager::ExecuteMoves(const std::vector<PlacementMove>& moves) {
+  Status first_failure;
+  for (const PlacementMove& move : moves) {
+    Status status =
+        CommandMigration(move.from_address, move.partition, move.to_address);
+    if (!status.ok()) {
+      ZHT_WARN << "migration of partition " << move.partition
+               << " failed: " << status.ToString();
+      if (first_failure.ok()) first_failure = status;
+      continue;  // partition stays put; membership unchanged
+    }
+    std::uint32_t push_from;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      push_from = table_.epoch() > 0 ? table_.epoch() - 1 : 0;
+      table_.SetOwner(move.partition, move.to);
+      ++stats_.partitions_migrated;
+    }
+    // The two parties must learn the new ownership immediately (the donor
+    // now redirects, the recipient now serves); everyone else learns from
+    // the final broadcast, clients lazily.
+    PushTableTo(move.from_address, push_from);
+    PushTableTo(move.to_address, 0);
+  }
+  return first_failure;
+}
+
 Status Manager::Depart(InstanceId id) {
   std::uint32_t epoch_before;
   NodeAddress departing;
-  std::vector<std::pair<PartitionId, InstanceId>> moves;
+  std::vector<PlacementMove> moves;
   std::vector<std::vector<InstanceId>> chains_before;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -229,37 +238,23 @@ Status Manager::Depart(InstanceId id) {
     }
     const PlacementPolicy& policy = GetPlacementPolicy(table_.placement());
     for (PartitionId p : table_.PartitionsOf(id)) {
-      InstanceId target =
+      const InstanceId target =
           policy.DesiredOwner(p, table_.num_partitions(), survivors);
-      moves.emplace_back(p, target);
-      // Reserve the assignment now so the table reflects the plan.
-      table_.SetOwner(p, target);
+      moves.push_back(PlacementMove{p, id, departing, target,
+                                    table_.Instance(target).address});
     }
   }
 
-  for (const auto& [p, target] : moves) {
-    NodeAddress target_address;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      target_address = table_.Instance(target).address;
-    }
-    Status status = CommandMigration(departing, p, target_address);
-    if (!status.ok()) {
-      ZHT_WARN << "departure migration of partition " << p
-               << " failed: " << status.ToString();
-    }
-    PushTableTo(target_address, 0);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.partitions_migrated;
-    }
-  }
+  // Each partition changes owner only once its copy has arrived.
+  const Status moved = ExecuteMoves(moves);
 
   std::vector<PartitionId> chain_changed;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    table_.MarkDead(id);  // departed == no longer serving
-    ++stats_.departures;
+    if (moved.ok()) {
+      table_.MarkDead(id);  // departed == no longer serving
+      ++stats_.departures;
+    }
     if (options_.cluster.num_replicas > 0) {
       const auto chains_after = SnapshotChains();
       for (PartitionId p = 0; p < table_.num_partitions(); ++p) {
@@ -274,7 +269,7 @@ Status Manager::Depart(InstanceId id) {
   // Members recruited into the shrunken chains hold no copy of the
   // departed node's partitions yet; stream them before failover reads hit.
   CommandRepairs(chain_changed);
-  return Status::Ok();
+  return moved;
 }
 
 Status Manager::HandleFailure(InstanceId id) {

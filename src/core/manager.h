@@ -60,7 +60,10 @@ class Manager {
 
   // Planned departure (§III.C): migrate the instance's partitions to the
   // owners the placement policy picks from the survivors, then mark it
-  // gone and broadcast.
+  // gone and broadcast. If a migration fails, that partition stays with
+  // the departing instance, which stays alive in the table: the moves that
+  // succeeded are broadcast, the first migration failure is returned, and
+  // the caller may retry Depart (it moves only what is left).
   Status Depart(InstanceId id);
 
   // Unplanned failure: reassign each of the dead instance's partitions to
@@ -93,6 +96,11 @@ class Manager {
   // current owner is dead are skipped — failure handling owns those.
   std::vector<PlacementMove> PlanPlacementMoves();
 
+  // Executes `moves` one at a time: migrate, then SetOwner, then push the
+  // new table to both parties, so no instance ever owns a partition whose
+  // copy has not arrived. A failed move leaves its partition with the
+  // current owner; returns the first failure (Ok when all moved).
+  Status ExecuteMoves(const std::vector<PlacementMove>& moves);
   Status CommandMigration(const NodeAddress& source, PartitionId partition,
                           const NodeAddress& target);
   void PushTableTo(const NodeAddress& address, std::uint32_t since_epoch);

@@ -105,7 +105,7 @@ void ZhtClient::MaybePullMembership(const NodeAddress& from,
 
 void ZhtClient::ReportFailure(InstanceId instance) {
   ++stats_.nodes_reported_dead;
-  table_.MarkDead(instance);
+  table_.SuspectDead(instance);
   if (!options_.manager) return;
   // Inform a manager (§III.C): it rebroadcasts membership and triggers
   // replica rebuilding. Best effort.

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/await.h"
 #include "common/crc32.h"
 #include "common/log.h"
 #include "novoht/novoht.h"
@@ -15,7 +16,7 @@
 namespace zht {
 namespace {
 
-// Packs key/value pairs for MigrateData batches:
+// Packs key/value pairs for TransferData batches:
 // varint count, then per pair: varint klen, varint vlen, key, value.
 std::string PackPairs(
     const std::vector<std::pair<std::string, std::string>>& pairs) {
@@ -77,10 +78,8 @@ constexpr std::size_t kDedupWindow = 8192;
 // attempt plus re-streams after a failed or mismatched End).
 constexpr int kRebuildMaxAttempts = 3;
 
-// Rebuild shadow stores live at the canonical partition id plus this offset,
-// so a persistent store factory gives them their own file path and they can
-// never collide with a live partition (partition counts are far smaller).
-constexpr PartitionId kShadowPartitionOffset = 1u << 20;
+// Payload bytes per TransferData carrier.
+constexpr std::size_t kTransferBatchBytes = 256 * 1024;
 
 // Executor identity of the current thread, per server. A reactor registers
 // itself via EnterExecutorThread; every other thread reads as -1.
@@ -265,7 +264,8 @@ void ZhtServer::Enqueue(Shard& shard, ShardTask task) {
   } else {
     shard.overflow.Push(std::move(task));
   }
-  shard.queued.fetch_add(1, std::memory_order_release);
+  // seq_cst pairs with DrainShared's release-then-recheck (see there).
+  shard.queued.fetch_add(1, std::memory_order_seq_cst);
 }
 
 void ZhtServer::Kick(Shard& shard) {
@@ -294,10 +294,14 @@ void ZhtServer::DrainBound(Shard& shard) {
 void ZhtServer::DrainShared(Shard& shard) {
   // Unbound shards: whichever thread posts drains, serialized by a CAS on
   // `active`. A loser returns — the winner's drain loop covers its task.
-  while (shard.queued.load(std::memory_order_acquire) > 0) {
-    if (shard.active.exchange(true, std::memory_order_acquire)) return;
+  // That hand-off is a store-then-load on both sides (the loser bumps
+  // `queued` then reads `active`; the winner clears `active` then reads
+  // `queued`), so all four accesses are seq_cst: with weaker orders both
+  // may read the stale value, and the task strands in the mailbox.
+  while (shard.queued.load(std::memory_order_seq_cst) > 0) {
+    if (shard.active.exchange(true, std::memory_order_seq_cst)) return;
     const std::size_t ran = DrainAll(shard);
-    shard.active.store(false, std::memory_order_release);
+    shard.active.store(false, std::memory_order_seq_cst);
     // queued > 0 with nothing poppable means a producer is mid-push (the
     // MPSC link window); give it a beat and re-check.
     if (ran == 0) std::this_thread::yield();
@@ -438,30 +442,6 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
     case OpCode::kMembershipPush:
       StartMembershipPush(std::move(request), std::move(finish));
       return;
-    case OpCode::kMigrateBegin: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecMigrateBegin(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
-    case OpCode::kMigrateData: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecMigrateData(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
-    case OpCode::kMigrateEnd: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecMigrateEnd(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
     case OpCode::kMigrateOut: {
       const std::uint64_t seq = request.seq;
       auto target = NodeAddress::Parse(request.value);
@@ -500,35 +480,20 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
       });
       return;
     }
-    case OpCode::kDigest: {
+    case OpCode::kDigest:
+    case OpCode::kTransferBegin:
+    case OpCode::kTransferData:
+    case OpCode::kTransferEnd: {
+      // Partition-addressed peer messages execute in the partition's shard.
+      void (ZhtServer::*exec)(Shard&, Request&&, ResponseCallback) =
+          request.op == OpCode::kDigest          ? &ZhtServer::ExecDigest
+          : request.op == OpCode::kTransferBegin ? &ZhtServer::ExecTransferBegin
+          : request.op == OpCode::kTransferData  ? &ZhtServer::ExecTransferData
+                                                 : &ZhtServer::ExecTransferEnd;
       Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
+           [this, exec, request = std::move(request),
             done = std::move(finish)](Shard& sh) mutable {
-             ExecDigest(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
-    case OpCode::kRebuildBegin: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecRebuildBegin(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
-    case OpCode::kRebuildData: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecRebuildData(sh, std::move(request), std::move(done));
-           });
-      return;
-    }
-    case OpCode::kRebuildEnd: {
-      Post(ShardForPartition(request.partition),
-           [this, request = std::move(request),
-            done = std::move(finish)](Shard& sh) mutable {
-             ExecRebuildEnd(sh, std::move(request), std::move(done));
+             (this->*exec)(sh, std::move(request), std::move(done));
            });
       return;
     }
@@ -568,24 +533,9 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
 }
 
 Response ZhtServer::Handle(Request&& request) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Response response;
-  };
-  auto latch = std::make_shared<Latch>();
-  HandleAsync(std::move(request), [latch](Response&& response) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->response = std::move(response);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
+  return Await<Response>([&](auto done) {
+    HandleAsync(std::move(request), std::move(done));
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return std::move(latch->response);
 }
 
 // ---------------------------------------------------------------------------
@@ -637,7 +587,13 @@ ZhtServer::DataRoute ZhtServer::RouteDataOp(Shard& shard,
     }
     const bool is_primary =
         !route.chain.empty() && route.chain[0] == options_.self;
-    if (!is_primary && !(is_client_failover && in_chain)) {
+    // A failover op from a client behind this table's epoch may rest on a
+    // suspicion the membership has since cleared (a revived owner), so it
+    // is redirected with the delta: accepted beside that owner's rebuild
+    // stream, a write would be erased from the stream's targets by End.
+    const bool current_failover =
+        is_client_failover && in_chain && request.epoch >= route.epoch;
+    if (!is_primary && !current_failover) {
       stats_.redirects.fetch_add(1, kRelaxed);
       redirect_counter_->Increment();
       route.redirect =
@@ -680,22 +636,13 @@ KVStore* ZhtServer::StoreIn(Shard& shard, PartitionId partition) {
   return raw;
 }
 
-std::shared_ptr<KVStore> ZhtServer::ShadowStoreIn(Shard& shard,
-                                                  PartitionId partition) {
-  auto it = shard.shadow_stores.find(partition);
-  if (it != shard.shadow_stores.end()) return it->second;
-  std::shared_ptr<KVStore> store =
-      options_.store_factory(options_.self, partition + kShadowPartitionOffset);
-  shard.shadow_stores.emplace(partition, store);
-  return store;
-}
-
 void ZhtServer::ReleaseStuckRebuilds(Shard& shard) {
   for (auto it = shard.rebuilding.begin(); it != shard.rebuilding.end();) {
     const PartitionId partition = *it;
     const auto chain =
         shard.table.ReplicaChain(partition, options_.cluster.num_replicas);
     if (!chain.empty() && chain[0] == options_.self) {
+      shard.landing.erase(partition);
       it = shard.rebuilding.erase(it);
     } else {
       ++it;
@@ -771,7 +718,7 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   if (shard.migrating.count(route.partition) ||
       shard.rebuilding.count(route.partition)) {
     // Partition is locked mid-migration (§III.C "Data Migration") or mid-
-    // rebuild (between kRebuildBegin and kRebuildEnd): state cannot be
+    // transfer (between kTransferBegin and kTransferEnd): state cannot be
     // modified; the client backs off and retries, which realizes the
     // paper's request queueing at the sender. Rejecting reads too keeps a
     // rebuilding replica from serving half-streamed state.
@@ -1225,74 +1172,10 @@ void ZhtServer::StartMembershipPush(Request&& request, ResponseCallback done) {
 }
 
 // ---------------------------------------------------------------------------
-// Migration (§III.C): incoming Begin/Data/End are shard tasks; outgoing
-// marks the shard, streams from a finisher, and posts completion back
+// Migration (§III.C): the source marks the partition, snapshots it and hands
+// it over with the same verified transfer a rebuild uses; completion posts
+// back into the shard
 // ---------------------------------------------------------------------------
-
-void ZhtServer::ExecMigrateBegin(Shard& shard, Request&& request,
-                                 ResponseCallback done) {
-  Response resp;
-  resp.seq = request.seq;
-  // Fresh store for the incoming partition (replaces any stale replica
-  // copy; the authoritative data is what the source streams to us). The
-  // shard drain fences out readers of the old store.
-  std::shared_ptr<KVStore> store =
-      options_.store_factory(options_.self, request.partition);
-  shard.stores[request.partition] = std::move(store);
-  // The replaced replica copy may have fed the cache; the stream now owns
-  // this partition's contents.
-  CacheDropPartition(shard, request.partition);
-  resp.epoch = shard.table.epoch();
-  done(std::move(resp));
-}
-
-void ZhtServer::ExecMigrateData(Shard& shard, Request&& request,
-                                ResponseCallback done) {
-  Response resp;
-  resp.seq = request.seq;
-  auto pairs = UnpackPairs(request.value);
-  if (!pairs.ok()) {
-    resp.status = pairs.status().raw();
-    done(std::move(resp));
-    return;
-  }
-  KVStore* store = StoreIn(shard, request.partition);
-  if (!store) {
-    resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
-    done(std::move(resp));
-    return;
-  }
-  for (const auto& [key, value] : *pairs) {
-    store->Put(key, value);
-    // A failover read between Begin and this carrier may have re-filled
-    // the cache from the half-streamed store; the streamed value wins.
-    CacheInvalidate(shard, key);
-  }
-  // Ack the carrier only once its pairs are durable (one wait per carrier);
-  // the source treats the ack as "these pairs are safely moved".
-  const std::uint64_t token = store->last_commit_token();
-  if (token == 0) {
-    done(std::move(resp));
-    return;
-  }
-  std::shared_ptr<KVStore> pinned = shard.stores[request.partition];
-  pinned->NotifyDurable(
-      token, [resp = std::move(resp), done = std::move(done)](
-                 Status durable) mutable {
-        if (!durable.ok()) resp.status = durable.raw();
-        done(std::move(resp));
-      });
-}
-
-void ZhtServer::ExecMigrateEnd(Shard& shard, Request&& request,
-                               ResponseCallback done) {
-  Response resp;
-  resp.seq = request.seq;
-  stats_.migrations_in.fetch_add(1, kRelaxed);
-  CacheDropPartition(shard, request.partition);
-  resp.epoch = shard.table.epoch();
-  done(std::move(resp));
-}
 
 void ZhtServer::StartMigrateOut(PartitionId partition,
                                 const NodeAddress& target,
@@ -1309,80 +1192,20 @@ void ZhtServer::StartMigrateOut(PartitionId partition,
          // Migration").
          sh.migrating.insert(partition);
          CacheDropPartition(sh, partition);
-         auto pairs = std::make_shared<
-             std::vector<std::pair<std::string, std::string>>>();
-         auto it = sh.stores.find(partition);
-         if (it != sh.stores.end() && it->second) {
-           it->second->ForEach(
-               [&pairs](std::string_view k, std::string_view v) {
-                 pairs->emplace_back(std::string(k), std::string(v));
-               });
-         }
-         EnqueueFinisher(
-             [this, partition, target, pairs, done = std::move(done)]() mutable {
-               Status status = StreamPartition(partition, target, *pairs);
-               FinishMigrateOut(partition, std::move(status), !pairs->empty(),
+         StreamTransfer(
+             sh, partition, target, /*replica_index=*/0,
+             [this, partition, done = std::move(done)](
+                 Status status, TransferSize size) mutable {
+               if (status.ok()) {
+                 stats_.migration_pairs_streamed.fetch_add(size.pairs,
+                                                           kRelaxed);
+                 stats_.migration_bytes_streamed.fetch_add(size.bytes,
+                                                           kRelaxed);
+               }
+               FinishMigrateOut(partition, std::move(status), size.pairs != 0,
                                 std::move(done));
              });
        });
-}
-
-Status ZhtServer::StreamPartition(
-    PartitionId partition, const NodeAddress& target,
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  Request begin;
-  begin.op = OpCode::kMigrateBegin;
-  begin.partition = partition;
-  begin.server_origin = true;
-  auto begin_result =
-      peer_transport_->Call(target, begin, options_.cluster.peer_timeout);
-  if (!begin_result.ok()) return begin_result.status();
-  if (!begin_result->ok()) return begin_result->status_as_object();
-
-  // Stream in batches ("moving a partition is as easy as moving a file").
-  std::vector<std::pair<std::string, std::string>> batch;
-  std::size_t batch_bytes = 0;
-  auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::Ok();
-    Request data;
-    data.op = OpCode::kMigrateData;
-    data.partition = partition;
-    data.server_origin = true;
-    data.value = PackPairs(batch);
-    batch.clear();
-    batch_bytes = 0;
-    auto result =
-        peer_transport_->Call(target, data, options_.cluster.peer_timeout);
-    if (!result.ok()) return result.status();
-    if (!result->ok()) return result->status_as_object();
-    return Status::Ok();
-  };
-  for (const auto& pair : pairs) {
-    batch_bytes += pair.first.size() + pair.second.size() + 16;
-    batch.push_back(pair);
-    if (batch_bytes >= options_.migrate_batch_bytes) {
-      Status status = flush();
-      if (!status.ok()) return status;
-    }
-  }
-  Status status = flush();
-  if (!status.ok()) return status;
-
-  Request end;
-  end.op = OpCode::kMigrateEnd;
-  end.partition = partition;
-  end.server_origin = true;
-  auto end_result =
-      peer_transport_->Call(target, end, options_.cluster.peer_timeout);
-  if (!end_result.ok()) return end_result.status();
-  if (!end_result->ok()) return end_result->status_as_object();
-  std::uint64_t payload_bytes = 0;
-  for (const auto& pair : pairs) {
-    payload_bytes += pair.first.size() + pair.second.size();
-  }
-  stats_.migration_pairs_streamed.fetch_add(pairs.size(), kRelaxed);
-  stats_.migration_bytes_streamed.fetch_add(payload_bytes, kRelaxed);
-  return Status::Ok();
 }
 
 void ZhtServer::FinishMigrateOut(PartitionId partition, Status status,
@@ -1394,7 +1217,18 @@ void ZhtServer::FinishMigrateOut(PartitionId partition, Status status,
        [this, partition, status = std::move(status), had_data,
         done = std::move(done)](Shard& sh) mutable {
          if (status.ok()) {
-           sh.stores.erase(partition);
+           // Empty the store before dropping it: a persistent store leaves
+           // its log behind, and a later StoreIn at the same path would
+           // replay the handed-off pairs back to life.
+           auto it = sh.stores.find(partition);
+           if (it != sh.stores.end()) {
+             Status cleared = it->second ? it->second->Clear() : Status::Ok();
+             if (!cleared.ok()) {
+               ZHT_WARN << "clearing handed-off partition " << partition
+                        << " failed: " << cleared.ToString();
+             }
+             sh.stores.erase(it);
+           }
            stats_.migrations_out.fetch_add(1, kRelaxed);
          }
          // Dropped before the manager can broadcast the new membership:
@@ -1436,32 +1270,19 @@ void ZhtServer::ReleaseHandoff(Shard& shard, PartitionId partition,
 
 Status ZhtServer::MigratePartitionTo(PartitionId partition,
                                      const NodeAddress& target) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-  };
-  auto latch = std::make_shared<Latch>();
-  StartMigrateOut(partition, target, [latch](Status status) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->status = std::move(status);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
+  return Await<Status>([&](auto done) {
+    StartMigrateOut(partition, target, std::move(done));
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->status;
 }
 
 // ---------------------------------------------------------------------------
-// Anti-entropy + online rebuild (the recovery model; DESIGN.md §Recovery).
-// The owner digest-probes its replica chain, streams a checkpoint to the
-// members that mismatch, and the FIFO async queue doubles as the catch-up
-// replay: sync legs to an in-rebuild destination divert behind the stream's
-// End, so the destination converges without ever blocking writes here.
+// Partition transfer + anti-entropy/online rebuild (DESIGN.md §7 "Partition
+// transfer"). One Begin/Data*/End stream, verified by the destination's End
+// digest check, serves migration and rebuild. For a rebuild the owner
+// digest-probes its replica chain, streams to the members that mismatch,
+// and the FIFO async queue doubles as the catch-up replay: sync legs to an
+// in-rebuild destination divert behind the stream's End, so the
+// destination converges without ever blocking writes here.
 // ---------------------------------------------------------------------------
 
 PartitionDigest ZhtServer::DigestOfStore(const KVStore* store) {
@@ -1489,44 +1310,39 @@ void ZhtServer::ExecDigest(Shard& shard, Request&& request,
   done(std::move(resp));
 }
 
-void ZhtServer::ExecRebuildBegin(Shard& shard, Request&& request,
-                                 ResponseCallback done) {
+void ZhtServer::ExecTransferBegin(Shard& shard, Request&& request,
+                                  ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
   resp.epoch = shard.table.epoch();
-  // The stream lands in a shadow store and only replaces the canonical
-  // store after the End digest verifies — a source dying mid-stream (or a
-  // torn stream) can never cost this replica its existing copy, which may
-  // be the cluster's last. Clear, don't re-create: a persistent store
-  // opened twice at one path would race its older self over the log file.
-  std::shared_ptr<KVStore> shadow = ShadowStoreIn(shard, request.partition);
-  if (!shadow) {
-    resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
+  // The stream lands in a fresh in-memory store and only replaces the
+  // canonical store after the End digest verifies — a source dying
+  // mid-stream (or a torn stream) can never cost this instance its
+  // existing copy, which may be the cluster's last.
+  auto landing = NoVoHT::Open(NoVoHTOptions{});
+  if (!landing.ok()) {
+    resp.status = landing.status().raw();
     done(std::move(resp));
     return;
   }
-  Status cleared = shadow->Clear();
-  if (!cleared.ok()) {
-    resp.status = cleared.raw();
-    done(std::move(resp));
-    return;
-  }
+  shard.landing[request.partition] = std::move(*landing);
   shard.rebuilding.insert(request.partition);
-  // No fills can happen while the rebuilding mark rejects reads, and the
-  // entries cached so far describe the copy about to be replaced.
+  // No fills can happen while the mark rejects reads, and the entries
+  // cached so far describe the copy about to be replaced.
   CacheDropPartition(shard, request.partition);
   done(std::move(resp));
 }
 
-void ZhtServer::ExecRebuildData(Shard& shard, Request&& request,
-                                ResponseCallback done) {
+void ZhtServer::ExecTransferData(Shard& shard, Request&& request,
+                                 ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
-  if (!shard.rebuilding.count(request.partition)) {
-    // Begin never arrived, or a restart wiped the mark: refuse so the
-    // source's End verification fails and it re-streams from scratch.
+  auto landing = shard.landing.find(request.partition);
+  if (landing == shard.landing.end()) {
+    // Begin never arrived, or a restart or promotion dropped the stream:
+    // refuse so the source's End verification fails and it re-streams.
     resp.status =
-        Status(StatusCode::kInvalidArgument, "no rebuild in progress").raw();
+        Status(StatusCode::kInvalidArgument, "no transfer in progress").raw();
     done(std::move(resp));
     return;
   }
@@ -1536,39 +1352,18 @@ void ZhtServer::ExecRebuildData(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  std::shared_ptr<KVStore> shadow = ShadowStoreIn(shard, request.partition);
-  if (!shadow) {
-    resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
-    done(std::move(resp));
-    return;
-  }
   for (const auto& [key, value] : *pairs) {
-    Status put = shadow->Put(key, value);
+    Status put = landing->second->Put(key, value);
     if (!put.ok()) {
       resp.status = put.raw();
-      done(std::move(resp));
-      return;
+      break;
     }
   }
-  // Ack the carrier only once its pairs are durable, exactly like the
-  // migration stream: the source treats the ack as "safely received". The
-  // capture pins the shadow object past any later End/Begin on the shard.
-  const std::uint64_t token = shadow->last_commit_token();
-  if (token == 0) {
-    done(std::move(resp));
-    return;
-  }
-  KVStore* raw = shadow.get();
-  raw->NotifyDurable(
-      token, [shadow = std::move(shadow), resp = std::move(resp),
-              done = std::move(done)](Status durable) mutable {
-        if (!durable.ok()) resp.status = durable.raw();
-        done(std::move(resp));
-      });
+  done(std::move(resp));
 }
 
-void ZhtServer::ExecRebuildEnd(Shard& shard, Request&& request,
-                               ResponseCallback done) {
+void ZhtServer::ExecTransferEnd(Shard& shard, Request&& request,
+                                ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
   resp.epoch = shard.table.epoch();
@@ -1578,31 +1373,31 @@ void ZhtServer::ExecRebuildEnd(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  if (shard.rebuilding.erase(request.partition) == 0) {
+  auto node = shard.landing.extract(request.partition);
+  if (node.empty()) {
     // The stream was broken (we restarted, Begin was dropped, or a
     // membership change promoted us mid-stream): report corruption so the
     // source re-streams from scratch.
     resp.status =
-        Status(StatusCode::kCorruption, "rebuild stream broken").raw();
+        Status(StatusCode::kCorruption, "transfer stream broken").raw();
     done(std::move(resp));
     return;
   }
-  auto shadow_it = shard.shadow_stores.find(request.partition);
-  std::shared_ptr<KVStore> shadow = shadow_it != shard.shadow_stores.end()
-                                        ? shadow_it->second
-                                        : nullptr;
-  const PartitionDigest mine = DigestOfStore(shadow.get());
+  shard.rebuilding.erase(request.partition);
+  const std::unique_ptr<KVStore>& landing = node.mapped();
+  const PartitionDigest mine = DigestOfStore(landing.get());
   resp.value = mine.Encode();
   if (!(mine == *expected)) {
-    // Canonical store untouched; the shadow is discarded at the next Begin.
+    // Canonical store untouched; the landing store dies with `node`.
     resp.status =
-        Status(StatusCode::kCorruption, "rebuild digest mismatch").raw();
+        Status(StatusCode::kCorruption, "transfer digest mismatch").raw();
     done(std::move(resp));
     return;
   }
-  // Verified: replace the canonical copy with the shadow's contents. Both
-  // stores are shard-local, so the swap cannot be interrupted by a peer
-  // failure — it either happens entirely or the End errors out.
+  // Verified: replace the canonical copy with the landing store's contents.
+  // Both are shard-local, so the swap cannot be interrupted by a peer
+  // failure — it either happens entirely or the End errors out. Clearing
+  // first also truncates any stale log a persistent store reopened.
   KVStore* canonical = StoreIn(shard, request.partition);
   if (!canonical) {
     resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
@@ -1610,20 +1405,21 @@ void ZhtServer::ExecRebuildEnd(Shard& shard, Request&& request,
     return;
   }
   Status swap = canonical->Clear();
-  if (swap.ok() && shadow) {
-    shadow->ForEach([&](std::string_view key, std::string_view value) {
-      if (swap.ok()) swap = canonical->Put(key, value);
-    });
-  }
-  if (swap.ok() && shadow) swap = shadow->Clear();  // truncate the landing pad
+  landing->ForEach([&](std::string_view key, std::string_view value) {
+    if (swap.ok()) swap = canonical->Put(key, value);
+  });
   CacheDropPartition(shard, request.partition);
   if (!swap.ok()) {
     resp.status = swap.raw();
     done(std::move(resp));
     return;
   }
+  // A stream to chain depth 0 hands this instance the partition.
+  if (request.replica_index == 0) {
+    stats_.migrations_in.fetch_add(1, kRelaxed);
+  }
   // Ack End only once the swapped-in pairs are durable in the canonical
-  // log — the source counts this replica as rebuilt on that ack.
+  // log — the source counts the transfer as done on that ack.
   const std::uint64_t token = canonical->last_commit_token();
   if (token == 0) {
     done(std::move(resp));
@@ -1740,6 +1536,62 @@ void ZhtServer::BeginRebuildStreams(Shard& shard, PartitionId partition,
   }
 }
 
+void ZhtServer::StreamTransfer(Shard& shard, PartitionId partition,
+                               const NodeAddress& target,
+                               std::uint8_t replica_index,
+                               TransferDone on_end) {
+  auto message = [partition, replica_index](OpCode op) {
+    Request request;
+    request.op = op;
+    request.partition = partition;
+    request.replica_index = replica_index;
+    request.server_origin = true;
+    return request;
+  };
+  // Snapshot, digest and batch in one in-shard pass, then enqueue the
+  // whole Begin/Data*/End conversation before this shard task returns. The
+  // queue is FIFO, so every leg enqueued after this task (a rebuild's
+  // diverted writes) lands after End — that ordering IS the catch-up replay.
+  PartitionDigest digest;
+  TransferSize size;
+  std::vector<Request> carriers;
+  std::vector<std::pair<std::string, std::string>> batch;
+  std::size_t batch_bytes = 0;
+  auto flush = [&] {
+    if (batch.empty()) return;
+    carriers.push_back(message(OpCode::kTransferData));
+    carriers.back().value = PackPairs(batch);
+    batch.clear();
+    batch_bytes = 0;
+  };
+  auto it = shard.stores.find(partition);
+  if (it != shard.stores.end() && it->second) {
+    it->second->ForEach([&](std::string_view k, std::string_view v) {
+      ++digest.count;
+      digest.crc ^= Crc32c(v, Crc32c(k));
+      ++size.pairs;
+      size.bytes += k.size() + v.size();
+      batch_bytes += k.size() + v.size() + 16;
+      batch.emplace_back(k, v);
+      if (batch_bytes >= kTransferBatchBytes) flush();
+    });
+  }
+  flush();
+  EnqueueAsyncReplication(message(OpCode::kTransferBegin), target);
+  for (Request& data : carriers) {
+    EnqueueAsyncReplication(std::move(data), target);
+  }
+  Request end = message(OpCode::kTransferEnd);
+  end.value = digest.Encode();
+  EnqueueAsyncLeg(std::move(end), target,
+                  [size, on_end = std::move(on_end)](
+                      const Result<Response>& result) {
+                    on_end(result.ok() ? result->status_as_object()
+                                       : result.status(),
+                           size);
+                  });
+}
+
 void ZhtServer::StreamRebuildTarget(Shard& shard, PartitionId partition,
                                     RebuildTarget& target) {
   ++target.attempts;
@@ -1748,64 +1600,11 @@ void ZhtServer::StreamRebuildTarget(Shard& shard, PartitionId partition,
   } else {
     stats_.rebuild_retries.fetch_add(1, kRelaxed);
   }
-  // Snapshot and digest in-shard, then enqueue the whole Begin/Data*/End
-  // conversation into the async queue. Every write applied after this
-  // shard task enqueues its (diverted) leg after our End — the per-
-  // destination FIFO ordering IS the catch-up replay. Writes applied
-  // before it are in the snapshot, so their earlier legs are redundant.
-  PartitionDigest digest;
-  auto pairs =
-      std::make_shared<std::vector<std::pair<std::string, std::string>>>();
-  auto it = shard.stores.find(partition);
-  if (it != shard.stores.end() && it->second) {
-    it->second->ForEach(
-        [&digest, &pairs](std::string_view k, std::string_view v) {
-          ++digest.count;
-          digest.crc ^= Crc32c(v, Crc32c(k));
-          pairs->emplace_back(std::string(k), std::string(v));
-        });
-  }
-
-  Request begin;
-  begin.op = OpCode::kRebuildBegin;
-  begin.partition = partition;
-  begin.server_origin = true;
-  EnqueueAsyncReplication(std::move(begin), target.address);
-
-  std::vector<std::pair<std::string, std::string>> batch;
-  std::size_t batch_bytes = 0;
-  std::uint64_t streamed = 0;
-  auto flush = [&]() {
-    if (batch.empty()) return;
-    Request data;
-    data.op = OpCode::kRebuildData;
-    data.partition = partition;
-    data.server_origin = true;
-    data.value = PackPairs(batch);
-    streamed += batch.size();
-    batch.clear();
-    batch_bytes = 0;
-    EnqueueAsyncReplication(std::move(data), target.address);
-  };
-  for (auto& pair : *pairs) {
-    batch_bytes += pair.first.size() + pair.second.size() + 16;
-    batch.push_back(std::move(pair));
-    if (batch_bytes >= options_.migrate_batch_bytes) flush();
-  }
-  flush();
-  stats_.rebuild_pairs_streamed.fetch_add(streamed, kRelaxed);
-
-  Request end;
-  end.op = OpCode::kRebuildEnd;
-  end.partition = partition;
-  end.server_origin = true;
-  end.value = digest.Encode();
   const InstanceId id = target.id;
-  EnqueueAsyncLeg(
-      std::move(end), target.address,
-      [this, partition, id](const Result<Response>& result) {
-        Status status =
-            !result.ok() ? result.status() : result->status_as_object();
+  StreamTransfer(
+      shard, partition, target.address, target.replica_index,
+      [this, partition, id](Status status, TransferSize size) {
+        stats_.rebuild_pairs_streamed.fetch_add(size.pairs, kRelaxed);
         Post(ShardForPartition(partition),
              [this, partition, id,
               status = std::move(status)](Shard& sh) mutable {
@@ -1859,78 +1658,36 @@ void ZhtServer::ApplyRebuildDiversions(const Shard& shard,
 }
 
 Status ZhtServer::RepairPartition(PartitionId partition) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-  };
-  auto latch = std::make_shared<Latch>();
-  StartRebuild(partition, [latch](Status status) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->status = std::move(status);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->status;
+  return Await<Status>(
+      [&](auto done) { StartRebuild(partition, std::move(done)); });
 }
 
 PartitionDigest ZhtServer::PartitionDigestOf(PartitionId partition) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    PartitionDigest digest;
-  };
-  auto latch = std::make_shared<Latch>();
-  Post(ShardForPartition(partition), [partition, latch](Shard& sh) {
-    auto it = sh.stores.find(partition);
-    PartitionDigest digest =
-        DigestOfStore(it != sh.stores.end() ? it->second.get() : nullptr);
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->digest = digest;
-      latch->done = true;
-    }
-    latch->cv.notify_one();
+  return Await<PartitionDigest>([&](auto done) {
+    Post(ShardForPartition(partition), [partition, done](Shard& sh) {
+      auto it = sh.stores.find(partition);
+      done(DigestOfStore(it != sh.stores.end() ? it->second.get() : nullptr));
+    });
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->digest;
 }
 
 std::vector<std::pair<std::string, std::string>> ZhtServer::PartitionPairs(
     PartitionId partition) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<std::pair<std::string, std::string>> pairs;
-  };
-  auto latch = std::make_shared<Latch>();
-  Post(ShardForPartition(partition), [partition, latch](Shard& sh) {
-    std::vector<std::pair<std::string, std::string>> pairs;
-    auto it = sh.stores.find(partition);
-    if (it != sh.stores.end() && it->second) {
-      it->second->ForEach([&pairs](std::string_view k, std::string_view v) {
-        pairs.emplace_back(std::string(k), std::string(v));
-      });
-    }
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->pairs = std::move(pairs);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  Pairs pairs = Await<Pairs>([&](auto done) {
+    Post(ShardForPartition(partition), [partition, done](Shard& sh) {
+      Pairs pairs;
+      auto it = sh.stores.find(partition);
+      if (it != sh.stores.end() && it->second) {
+        it->second->ForEach([&pairs](std::string_view k, std::string_view v) {
+          pairs.emplace_back(std::string(k), std::string(v));
+        });
+      }
+      done(std::move(pairs));
+    });
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  std::sort(latch->pairs.begin(), latch->pairs.end());
-  return latch->pairs;
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
 }
 
 void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
@@ -1999,15 +1756,11 @@ void ZhtServer::ReplicateSync(const Request& original, PartitionId partition,
   replication_fanout_hist_->Record(
       static_cast<std::int64_t>(plan.chain.size()) - 1);
 
-  // Leg i is synchronous when it is the secondary (with sync_secondary) or
-  // the plan demands every leg synchronous (failover accepts). A member
-  // mid-rebuild diverts to the async queue regardless, so the leg lands
-  // after the stream's End (the queue is FIFO per destination — the
-  // catch-up replay ordering).
-  const std::size_t sync_end =
-      plan.all_sync ? plan.chain.size()
-                    : (options_.sync_secondary ? std::size_t{2}
-                                               : std::size_t{1});
+  // Leg i is synchronous when it is the secondary or the plan demands
+  // every leg synchronous (failover accepts). A member mid-rebuild diverts
+  // to the async queue regardless, so the leg lands after the stream's End
+  // (the queue is FIFO per destination — the catch-up replay ordering).
+  const std::size_t sync_end = plan.sync_end();
   for (std::size_t i = 1; i < plan.chain.size(); ++i) {
     Request leg = forward;
     leg.replica_index = static_cast<std::uint8_t>(i);
@@ -2045,42 +1798,33 @@ void ZhtServer::ReplicateBatchResolved(
   // all_sync plan), grouped by target and pushed as one pipelined BATCH
   // call before acknowledging the client. A member mid-rebuild diverts
   // behind its stream instead.
-  auto plan_sync_end = [this](const ReplicaPlan& plan) {
-    if (plan.all_sync) return plan.chain.size();
-    return options_.sync_secondary ? std::size_t{2} : std::size_t{1};
-  };
-  if (options_.sync_secondary) {
-    std::unordered_map<InstanceId,
-                       std::pair<NodeAddress, std::vector<Request>>>
-        groups;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const ReplicaPlan& plan = plans[i];
-      const std::size_t sync_end =
-          std::min(plan_sync_end(plan), plan.chain.size());
-      for (std::size_t r = 1; r < sync_end; ++r) {
-        Request forward = ops[i];
-        forward.replica_index = static_cast<std::uint8_t>(r);
-        if (plan.via_async.size() > r && plan.via_async[r]) {
-          // Member mid-rebuild: divert the leg behind the stream.
-          replication_async_counter_->Increment();
-          stats_.replications_async.fetch_add(1, kRelaxed);
-          EnqueueAsyncReplication(std::move(forward), plan.addresses[r]);
-          continue;
-        }
-        auto& group = groups[plan.chain[r]];
-        group.first = plan.addresses[r];
-        group.second.push_back(std::move(forward));
+  std::unordered_map<InstanceId, std::pair<NodeAddress, std::vector<Request>>>
+      groups;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const ReplicaPlan& plan = plans[i];
+    for (std::size_t r = 1; r < plan.sync_end(); ++r) {
+      Request forward = ops[i];
+      forward.replica_index = static_cast<std::uint8_t>(r);
+      if (plan.via_async.size() > r && plan.via_async[r]) {
+        // Member mid-rebuild: divert the leg behind the stream.
+        replication_async_counter_->Increment();
+        stats_.replications_async.fetch_add(1, kRelaxed);
+        EnqueueAsyncReplication(std::move(forward), plan.addresses[r]);
+        continue;
       }
+      auto& group = groups[plan.chain[r]];
+      group.first = plan.addresses[r];
+      group.second.push_back(std::move(forward));
     }
-    for (auto& [target_id, group] : groups) {
-      stats_.replications_sync.fetch_add(group.second.size(), kRelaxed);
-      replication_sync_counter_->Increment(group.second.size());
-      auto result = peer_transport_->CallBatch(group.first, group.second,
-                                               options_.cluster.peer_timeout);
-      if (!result.ok()) {
-        ZHT_WARN << "sync batch replication to " << group.first.ToString()
-                 << " failed: " << result.status().ToString();
-      }
+  }
+  for (auto& [target_id, group] : groups) {
+    stats_.replications_sync.fetch_add(group.second.size(), kRelaxed);
+    replication_sync_counter_->Increment(group.second.size());
+    auto result = peer_transport_->CallBatch(group.first, group.second,
+                                             options_.cluster.peer_timeout);
+    if (!result.ok()) {
+      ZHT_WARN << "sync batch replication to " << group.first.ToString()
+               << " failed: " << result.status().ToString();
     }
   }
 
@@ -2089,9 +1833,8 @@ void ZhtServer::ReplicateBatchResolved(
   std::unordered_map<InstanceId, std::pair<NodeAddress, std::vector<Request>>>
       async_groups;
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const std::size_t first_async =
-        options_.sync_secondary ? plan_sync_end(plans[i]) : std::size_t{1};
-    for (std::size_t r = first_async; r < plans[i].chain.size(); ++r) {
+    for (std::size_t r = plans[i].sync_end(); r < plans[i].chain.size();
+         ++r) {
       Request forward = ops[i];
       forward.replica_index = static_cast<std::uint8_t>(r);
       auto& group = async_groups[plans[i].chain[r]];
@@ -2339,72 +2082,25 @@ MetricsSnapshot ZhtServer::BuildSnapshot(
   return snapshot;
 }
 
+std::vector<ZhtServer::ShardCensus> ZhtServer::CensusNow() const {
+  return Await<std::vector<ShardCensus>>(
+      [this](auto done) { ScatterCensus(std::move(done)); });
+}
+
 MetricsSnapshot ZhtServer::MetricsSnapshotNow() const {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<ShardCensus> census;
-  };
-  auto latch = std::make_shared<Latch>();
-  ScatterCensus([latch](std::vector<ShardCensus> census) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->census = std::move(census);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return BuildSnapshot(latch->census);
+  return BuildSnapshot(CensusNow());
 }
 
 std::uint64_t ZhtServer::TotalEntries() const {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::uint64_t entries = 0;
-  };
-  auto latch = std::make_shared<Latch>();
-  ScatterCensus([latch](std::vector<ShardCensus> census) {
-    std::uint64_t total = 0;
-    for (const ShardCensus& c : census) total += c.entries;
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->entries = total;
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->entries;
+  std::uint64_t total = 0;
+  for (const ShardCensus& c : CensusNow()) total += c.entries;
+  return total;
 }
 
 std::vector<std::size_t> ZhtServer::ShardPartitionCounts() const {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<std::size_t> counts;
-  };
-  auto latch = std::make_shared<Latch>();
-  ScatterCensus([latch](std::vector<ShardCensus> census) {
-    std::vector<std::size_t> counts;
-    counts.reserve(census.size());
-    for (const ShardCensus& c : census) counts.push_back(c.held);
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->counts = std::move(counts);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return latch->counts;
+  std::vector<std::size_t> counts;
+  for (const ShardCensus& c : CensusNow()) counts.push_back(c.held);
+  return counts;
 }
 
 std::uint64_t ZhtServer::ShardForwardedOps(std::size_t shard) const {

@@ -33,16 +33,19 @@
 // membership push applies on shard 0 (the epoch authority) then fans the
 // payload to every other shard before acking. Durability acks park on the
 // store's flusher via KVStore::NotifyDurable — no thread blocks in the
-// server for a group commit. Synchronous replication legs and migration
-// streaming run on a small finisher pool so shard drains never do network
-// I/O.
+// server for a group commit. Synchronous replication legs run on a small
+// finisher pool and partition transfers (migration and rebuild alike) on
+// the ordered async-replication worker, so shard drains never do network
+// I/O (DESIGN.md §7 "Partition transfer").
 //
 // Blocking adapters (Handle, MigratePartitionTo, RepairPartition,
-// TotalEntries, MetricsSnapshotNow) exist for tests, tools, and managers.
-// Never call them from a reactor thread that drives this server's shards —
-// they wait on work those shards must execute.
+// TotalEntries, MetricsSnapshotNow; all built on Await in common/await.h)
+// exist for tests, tools, and managers. Never call them from a reactor
+// thread that drives this server's shards — they wait on work those shards
+// must execute.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -86,8 +89,6 @@ StoreFactory MakeNoVoHTStoreFactory(std::string dir,
 struct ZhtServerOptions {
   InstanceId self = 0;
   ClusterOptions cluster;        // deployment-wide: replicas + timeouts
-  bool sync_secondary = true;    // primary+secondary strong consistency
-  std::size_t migrate_batch_bytes = 256 * 1024;
   // Factory for partition stores. Defaults to in-memory NoVoHT.
   StoreFactory store_factory;
   // Partition-ownership shards. 0 = auto (min(4, hardware_concurrency)).
@@ -159,11 +160,11 @@ class ZhtServer {
   Response Handle(Request&& request);
 
   // Anti-entropy + online rebuild: digest-probes every member of
-  // `partition`'s replica chain and streams a fresh checkpoint
-  // (kRebuildBegin/Data/End through the ordered async-replication queue)
-  // to each member whose digest mismatches — clean members exchange only
-  // digests. `done` fires once, after every leg completed or was abandoned
-  // (bounded re-stream retries on digest mismatch). No-op unless this
+  // `partition`'s replica chain and streams a fresh checkpoint (the
+  // partition transfer, kTransferBegin/Data/End) to each member whose
+  // digest mismatches — clean members exchange only digests. `done` fires
+  // once, after every leg completed or was abandoned (bounded re-stream
+  // retries on digest mismatch). No-op unless this
   // instance owns the partition. Safe from any thread; the manager's
   // kRepair handler acks before the rebuild finishes.
   void StartRebuild(PartitionId partition, std::function<void(Status)> done);
@@ -178,8 +179,9 @@ class ZhtServer {
   std::vector<std::pair<std::string, std::string>> PartitionPairs(
       PartitionId partition);
 
-  // Pushes `partition` to `target` (MigrateBegin/Data/End) and relinquishes
-  // it. The caller (manager) updates and broadcasts membership afterwards.
+  // Pushes `partition` to `target` (the partition transfer, verified by
+  // the target's End digest check) and relinquishes it. The caller
+  // (manager) updates and broadcasts membership afterwards.
   Status MigratePartitionTo(PartitionId partition, const NodeAddress& target);
 
   // Unsynchronized view of shard 0's table for single-threaded tests/admin
@@ -361,17 +363,16 @@ class ZhtServer {
     // failover reads (rebuilding mark) until the manager-commanded repair
     // streams it a fresh copy.
     std::unordered_map<PartitionId, bool> handed_off;
-    // Destination side: partitions between kRebuildBegin and kRebuildEnd.
-    // Data ops answer kMigrating while set, so the End digest check sees
-    // exactly the streamed pairs (no interleaved writes, no stale reads).
+    // Destination side: partitions between kTransferBegin and kTransferEnd
+    // (or handed off while staying in the chain, see ReleaseHandoff). Data
+    // ops answer kMigrating while set, so the End digest check sees exactly
+    // the streamed pairs (no interleaved writes, no stale reads).
     std::unordered_set<PartitionId> rebuilding;
-    // Destination side: the stream lands in a per-partition shadow store
-    // and is swapped into the canonical store only after the End digest
-    // verifies, so a source dying mid-stream never costs the destination
-    // its existing copy. Objects are created once and reused across
-    // rebuilds (Clear()ed at each Begin) so a persistent store is never
-    // opened twice at the same path.
-    std::unordered_map<PartitionId, std::shared_ptr<KVStore>> shadow_stores;
+    // Destination side: each in-flight transfer lands in an in-memory
+    // store, created at Begin and dropped at End (or when the mark is
+    // released). Only a verified End copies it into the canonical store, so
+    // a source dying mid-stream never costs this instance its existing copy.
+    std::unordered_map<PartitionId, std::unique_ptr<KVStore>> landing;
     // Source side: partitions this owner is currently rebuilding.
     std::unordered_map<PartitionId, RebuildOut> rebuild_out;
     // Hot-key read cache. Fills/invalidations/drops are drain-exclusive
@@ -431,6 +432,12 @@ class ZhtServer {
     // write must land on them before the ack. Legs to genuinely dead
     // members fail fast and cost nothing.
     bool all_sync = false;
+
+    // Chain positions [1, sync_end()) replicate synchronously: the
+    // secondary (primary+secondary strong consistency), or every member.
+    std::size_t sync_end() const {
+      return all_sync ? chain.size() : std::min<std::size_t>(2, chain.size());
+    }
   };
 
   // Scatter/gather state for a BATCH spanning shard owners. Each shard
@@ -492,12 +499,11 @@ class ZhtServer {
                       std::string_view key, std::string_view value,
                       std::string* out);
   KVStore* StoreIn(Shard& shard, PartitionId partition);  // creates on demand
-  // Rebuild landing pad for `partition` (offset path, reused across rebuilds).
-  std::shared_ptr<KVStore> ShadowStoreIn(Shard& shard, PartitionId partition);
-  // Drops destination-side rebuild marks for partitions this instance now
-  // owns: the stream that fed them is moot (its source lost ownership, or
-  // died), and the canonical store — never wiped mid-stream — is the copy
-  // promotion elected. Called after every membership update.
+  // Drops destination-side transfer marks (and landing stores) for
+  // partitions this instance now owns: the stream that fed them is moot
+  // (its source lost ownership, or died), and the canonical store — never
+  // wiped mid-stream — is the copy promotion elected. Called after every
+  // membership update.
   void ReleaseStuckRebuilds(Shard& shard);
   // Lifts the source-side migration lock for handed-off partitions once a
   // membership update names their new owner (subsequent requests redirect).
@@ -512,17 +518,28 @@ class ZhtServer {
   void FinalizeBatch(const std::shared_ptr<BatchGather>& gather);
 
   void StartMembershipPush(Request&& request, ResponseCallback done);
-  void ExecMigrateBegin(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecMigrateData(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecMigrateEnd(Shard& shard, Request&& request, ResponseCallback done);
   void ExecBroadcast(Shard& shard, Request&& request, ResponseCallback done);
-  // --- rebuild / anti-entropy (tentpole of the recovery model) ---
-  // Destination handlers (in-shard).
+  // --- partition transfer, rebuild / anti-entropy ---
+  // Destination handlers (in-shard), shared by migration and rebuild.
   void ExecDigest(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecRebuildBegin(Shard& shard, Request&& request,
+  void ExecTransferBegin(Shard& shard, Request&& request,
+                         ResponseCallback done);
+  void ExecTransferData(Shard& shard, Request&& request,
                         ResponseCallback done);
-  void ExecRebuildData(Shard& shard, Request&& request, ResponseCallback done);
-  void ExecRebuildEnd(Shard& shard, Request&& request, ResponseCallback done);
+  void ExecTransferEnd(Shard& shard, Request&& request, ResponseCallback done);
+  // Size of one transfer's snapshot: pairs and key + value payload bytes.
+  struct TransferSize {
+    std::uint64_t pairs = 0;
+    std::uint64_t bytes = 0;
+  };
+  using TransferDone = std::function<void(Status, TransferSize)>;
+  // In-shard: snapshot and digest `partition`, then enqueue the whole
+  // Begin/Data*/End conversation to `target` into the async queue.
+  // `replica_index` is the target's chain depth (0: it becomes the owner).
+  // `on_end` runs on the async worker with End's result.
+  void StreamTransfer(Shard& shard, PartitionId partition,
+                      const NodeAddress& target, std::uint8_t replica_index,
+                      TransferDone on_end);
   // Finisher-thread body: one kDigest call per target; posts the stale
   // subset back into the shard.
   void ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
@@ -530,8 +547,8 @@ class ZhtServer {
   // In-shard: drop clean targets, stream to the stale ones (or finish).
   void BeginRebuildStreams(Shard& shard, PartitionId partition,
                            std::vector<InstanceId> stale);
-  // In-shard: snapshot the partition and enqueue Begin/Data*/End for one
-  // target into the async queue; End's result posts FinishRebuildLeg.
+  // In-shard: StreamTransfer to one rebuild target; End's result posts
+  // FinishRebuildLeg.
   void StreamRebuildTarget(Shard& shard, PartitionId partition,
                            RebuildTarget& target);
   void FinishRebuildLeg(Shard& shard, PartitionId partition, InstanceId id,
@@ -541,14 +558,10 @@ class ZhtServer {
   // Flags chain members with an in-flight rebuild stream in plan.via_async.
   void ApplyRebuildDiversions(const Shard& shard, PartitionId partition,
                               ReplicaPlan* plan) const;
-  // Marks `partition` migrating in its shard, snapshots it, then streams
-  // Begin/Data/End from a finisher; completion posts back to the shard.
+  // Marks `partition` migrating in its shard, then StreamTransfer()s it to
+  // `target`; End's result posts FinishMigrateOut back to the shard.
   void StartMigrateOut(PartitionId partition, const NodeAddress& target,
                        std::function<void(Status)> done);
-  // Finisher-thread body: the Begin/Data/End peer conversation.
-  Status StreamPartition(
-      PartitionId partition, const NodeAddress& target,
-      const std::vector<std::pair<std::string, std::string>>& pairs);
   void FinishMigrateOut(PartitionId partition, Status status, bool had_data,
                         std::function<void(Status)> done);
   // Drops the source-side migration lock once the new owner is in the
@@ -563,6 +576,7 @@ class ZhtServer {
   void ScatterCensus(
       std::function<void(std::vector<ShardCensus>)> done) const;
   MetricsSnapshot BuildSnapshot(const std::vector<ShardCensus>& census) const;
+  std::vector<ShardCensus> CensusNow() const;  // blocking ScatterCensus
 
   // --- replication (finisher/async threads; addresses pre-resolved) ---
   void ReplicateSync(const Request& original, PartitionId partition,
@@ -671,8 +685,8 @@ class ZhtServer {
   mutable std::mutex idle_mu_;
   mutable std::condition_variable idle_cv_;
 
-  // Finisher pool: synchronous replication legs, migration streaming,
-  // batch replication — peer I/O that must never run inside a shard drain.
+  // Finisher pool: synchronous replication legs, batch replication and
+  // digest probes — peer I/O that must never run inside a shard drain.
   std::mutex finisher_mu_;
   std::condition_variable finisher_cv_;
   // Separate CV for idle waiters (FlushAsyncReplication): EnqueueFinisher's
@@ -683,7 +697,8 @@ class ZhtServer {
   bool finishers_stop_ = false;
   std::vector<std::thread> finishers_;
 
-  // Asynchronous replication worker (replicas beyond the secondary).
+  // Asynchronous replication worker: replicas beyond the secondary, legs
+  // diverted behind a rebuild, and every partition transfer, in one FIFO.
   // Targets carry addresses resolved in-shard at enqueue time.
   struct AsyncLeg {
     Request request;

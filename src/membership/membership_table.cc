@@ -348,6 +348,9 @@ Status MembershipTable::ApplyUpdate(std::string_view data) {
       if (partition >= partition_owner_.size()) {
         return Status(StatusCode::kCorruption, "delta partition range");
       }
+      if (owner >= instances_.size()) {
+        return Status(StatusCode::kCorruption, "delta owner unknown");
+      }
       partition_owner_[partition] = static_cast<InstanceId>(owner);
       epoch_ = static_cast<std::uint32_t>(change_epoch);
       RecordChange(Change{

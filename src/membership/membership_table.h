@@ -95,6 +95,12 @@ class MembershipTable {
   void MarkDead(InstanceId id);
   void MarkAlive(InstanceId id);
 
+  // A local suspicion (a client's failure detector), not a membership
+  // change: flips `alive` without a new epoch. Bumping the epoch here would
+  // make this copy skip the authoritative change that carries the same
+  // epoch number, e.g. the instance record an ownership change relies on.
+  void SuspectDead(InstanceId id) { instances_[id].alive = false; }
+
   // ---- Serialization ---------------------------------------------------
 
   std::string EncodeFull() const;

@@ -460,8 +460,10 @@ void EpollServer::HandleWritable(Reactor& r, int fd) {
   if (it == r.connections.end()) return;
   Connection& conn = it->second;
   while (conn.out_offset < conn.out.size()) {
-    ssize_t n = ::write(fd, conn.out.data() + conn.out_offset,
-                        conn.out.size() - conn.out_offset);
+    // MSG_NOSIGNAL: a client that already closed must cost one
+    // connection (EPIPE), not the process (SIGPIPE).
+    ssize_t n = ::send(fd, conn.out.data() + conn.out_offset,
+                       conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
     if (n > 0) {
       conn.out_offset += static_cast<std::size_t>(n);
       continue;

@@ -116,8 +116,9 @@ void ThreadedServer::ServeConnection(int fd) {
       std::string frame = FrameMessage(response.Encode());
       std::size_t written = 0;
       while (written < frame.size()) {
-        ssize_t w = ::write(fd, frame.data() + written,
-                            frame.size() - written);
+        // MSG_NOSIGNAL: a closed client yields EPIPE, never SIGPIPE.
+        ssize_t w = ::send(fd, frame.data() + written,
+                           frame.size() - written, MSG_NOSIGNAL);
         if (w < 0) {
           if (errno == EINTR) continue;
           malformed = true;

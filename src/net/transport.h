@@ -3,14 +3,12 @@
 // caching), UDP (ack-based), or the in-process loopback used by tests.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/await.h"
 #include "common/clock.h"
 #include "net/address.h"
 #include "serialize/envelope.h"
@@ -49,28 +47,11 @@ inline AsyncRequestHandler ToAsync(RequestHandler handler) {
 }
 
 // Drives one asynchronous call to completion, blocking the calling thread.
-// The latch is shared-owned so a handler that completes late (e.g. after a
-// timeout-free caller already returned) never touches a dead stack frame.
 inline Response CallBlocking(const AsyncRequestHandler& handler,
                              Request&& request) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Response response;
-  };
-  auto latch = std::make_shared<Latch>();
-  handler(std::move(request), [latch](Response&& response) {
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      latch->response = std::move(response);
-      latch->done = true;
-    }
-    latch->cv.notify_one();
+  return Await<Response>([&](auto done) {
+    handler(std::move(request), std::move(done));
   });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->done; });
-  return std::move(latch->response);
 }
 
 // Adapts an asynchronous handler back to the synchronous signature (the

@@ -40,10 +40,6 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kPing: return "PING";
     case OpCode::kMembershipPull: return "MEMBERSHIP_PULL";
     case OpCode::kMembershipPush: return "MEMBERSHIP_PUSH";
-    case OpCode::kReplicate: return "REPLICATE";
-    case OpCode::kMigrateBegin: return "MIGRATE_BEGIN";
-    case OpCode::kMigrateData: return "MIGRATE_DATA";
-    case OpCode::kMigrateEnd: return "MIGRATE_END";
     case OpCode::kJoinRequest: return "JOIN_REQUEST";
     case OpCode::kDepartRequest: return "DEPART_REQUEST";
     case OpCode::kBroadcast: return "BROADCAST";
@@ -52,9 +48,9 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kStats: return "STATS";
     case OpCode::kBatch: return "BATCH";
     case OpCode::kDigest: return "DIGEST";
-    case OpCode::kRebuildBegin: return "REBUILD_BEGIN";
-    case OpCode::kRebuildData: return "REBUILD_DATA";
-    case OpCode::kRebuildEnd: return "REBUILD_END";
+    case OpCode::kTransferBegin: return "TRANSFER_BEGIN";
+    case OpCode::kTransferData: return "TRANSFER_DATA";
+    case OpCode::kTransferEnd: return "TRANSFER_END";
   }
   return "UNKNOWN";
 }

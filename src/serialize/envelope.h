@@ -18,10 +18,7 @@ enum class OpCode : std::uint8_t {
   kPing = 5,            // liveness probe / failure detection
   kMembershipPull = 6,  // fetch the current membership table
   kMembershipPush = 7,  // manager broadcast of an incremental delta
-  kReplicate = 8,       // server→server replication forward
-  kMigrateBegin = 9,    // lock partition on source, start transfer
-  kMigrateData = 10,    // partition payload (batched key/value pairs)
-  kMigrateEnd = 11,     // unlock, ownership switched
+  // 8-11 retired (the separate migration stream); never reuse them.
   kJoinRequest = 12,    // new node asks a manager to admit it
   kDepartRequest = 13,  // planned departure (maintenance)
   kBroadcast = 14,      // future-work broadcast primitive (§VI), implemented
@@ -31,16 +28,17 @@ enum class OpCode : std::uint8_t {
   kBatch = 18,          // BATCH envelope: N sub-requests in one frame
                         // (serialize/batch.h); response packs N sub-responses
   kDigest = 19,         // anti-entropy probe: compare partition digests
-  kRebuildBegin = 20,   // owner → replica: wipe, start rebuild stream
-  kRebuildData = 21,    // rebuild payload (batched key/value pairs)
-  kRebuildEnd = 22,     // close stream; value carries the source digest
+  // Partition transfer (migration and rebuild): source → destination.
+  kTransferBegin = 20,  // open a landing store, lock the partition
+  kTransferData = 21,   // payload (batched key/value pairs)
+  kTransferEnd = 22,    // value carries the source digest; verify + swap in
 };
 
 std::string_view OpCodeName(OpCode op);
 
 // Order-independent summary of a partition's contents, exchanged by the
-// anti-entropy pass (kDigest) and verified at the end of a rebuild stream
-// (kRebuildEnd). `crc` is the XOR of one CRC32C per pair — chained over the
+// anti-entropy pass (kDigest) and verified at the end of a transfer stream
+// (kTransferEnd). `crc` is the XOR of one CRC32C per pair — chained over the
 // key then the value, so "ab"/"c" and "a"/"bc" digest differently — which
 // makes the digest insensitive to iteration order and cheap to compare.
 struct PartitionDigest {

@@ -144,7 +144,7 @@ TEST(BatchClientTest, BatchSpanningMovedPartitionsFollowsRedirects) {
 }
 
 TEST(BatchServerTest, MigratingPartitionRejectsOnlyItsSubOps) {
-  // One server, one remote peer whose MigrateBegin handler blocks: the
+  // One server, one remote peer whose TransferBegin handler blocks: the
   // partition stays locked while we drive a BATCH at the source.
   LoopbackNetwork network;
   std::promise<void> locked;
@@ -155,7 +155,7 @@ TEST(BatchServerTest, MigratingPartitionRejectsOnlyItsSubOps) {
       [&](Request&& request) -> Response {
         Response resp;
         resp.seq = request.seq;
-        if (request.op == OpCode::kMigrateBegin && !signalled) {
+        if (request.op == OpCode::kTransferBegin && !signalled) {
           signalled = true;
           locked.set_value();
           release_future.wait();

@@ -592,7 +592,7 @@ INSTANTIATE_TEST_SUITE_P(
             // phase 1 drops and duplicates the rebuild RPCs themselves.
             // Dropped carriers fail the End digest and force a re-stream;
             // duplicated carriers must be absorbed (idempotent puts into
-            // the shadow store); dropped digest probes read as stale and
+            // the landing store); dropped digest probes read as stale and
             // cost only an extra stream. Client-visible history must stay
             // clean throughout.
             .name = "rebuild_faults_r2",
@@ -603,10 +603,10 @@ INSTANTIATE_TEST_SUITE_P(
             .ops_per_phase = 50,
             .phases = {{},
                        {{.kind = FaultKind::kDropRequest,
-                         .op = OpCode::kRebuildData,
+                         .op = OpCode::kTransferData,
                          .probability = 0.3},
                         {.kind = FaultKind::kDuplicate,
-                         .op = OpCode::kRebuildData,
+                         .op = OpCode::kTransferData,
                          .probability = 0.3},
                         {.kind = FaultKind::kDropRequest,
                          .op = OpCode::kDigest,
@@ -642,7 +642,7 @@ INSTANTIATE_TEST_SUITE_P(
             // Rebuild destination killed mid-stream: phase 1 stretches the
             // rebuild carriers with delays so the second kill lands while
             // instance 4 is still being streamed to. The source's End
-            // times out and the leg is retried then abandoned; the shadow-
+            // times out and the leg is retried then abandoned; the landing-
             // store protocol means the half-fed destination never wiped
             // its canonical copy.
             .name = "rebuild_dest_killed_r2",
@@ -653,7 +653,7 @@ INSTANTIATE_TEST_SUITE_P(
             .ops_per_phase = 50,
             .phases = {{},
                        {{.kind = FaultKind::kDelay,
-                         .op = OpCode::kRebuildData,
+                         .op = OpCode::kTransferData,
                          .probability = 1.0,
                          .delay = 1 * kNanosPerMilli},
                         {.kind = FaultKind::kDropRequest,

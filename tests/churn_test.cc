@@ -1,11 +1,15 @@
 // Churn suite (`ctest -L churn`): placement-policy properties, the
 // rejoin-at-reused-address regression, the client's separated retry
-// budgets, membership-pull coalescing, and a history-checked churn chaos
+// budgets, membership-pull coalescing, a departure whose moves fail, stale
+// client suspicions after a revival, and a history-checked churn chaos
 // schedule (join → failure → rejoin → departure under live traffic) per
-// placement policy.
+// placement policy, plus one on persistent stores.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -327,6 +331,124 @@ TEST(MembershipPullTest, RedirectStormCoalescesToOnePullPerEpoch) {
   EXPECT_EQ(client.table().epoch(), fresh.epoch());
 }
 
+// ---- departure with a failed move -----------------------------------------
+
+TEST(DepartTest, FailedMoveKeepsThePartitionWithTheDepartingInstance) {
+  // Instance 2 is down but still in the table, so the placement policy
+  // sends part of instance 1's partitions there and those moves fail. No
+  // partition may then be owned by an instance that holds no copy of it:
+  // it stays with instance 1, which stays in service.
+  LocalClusterOptions options;
+  options.num_instances = 3;
+  options.num_partitions = 24;
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto client = (*cluster)->CreateClient();
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(client->Insert("dk" + std::to_string(i), "v").ok());
+  }
+  const std::vector<PartitionId> departing =
+      (*cluster)->TableSnapshot().PartitionsOf(1);
+  (*cluster)->KillInstance(2);
+
+  EXPECT_FALSE((*cluster)->manager(0)->Depart(1).ok());
+  const MembershipTable table = (*cluster)->TableSnapshot();
+  EXPECT_TRUE(table.Instance(1).alive);
+  std::size_t moved = 0;
+  for (PartitionId p : departing) {
+    EXPECT_NE(table.OwnerOf(p), 2u) << "partition " << p;
+    moved += table.OwnerOf(p) == 0;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_LT(moved, departing.size());
+  for (int i = 0; i < 60; ++i) {
+    const std::string key = "dk" + std::to_string(i);
+    if (table.OwnerOf(table.PartitionOfKey(key)) == 2) continue;
+    EXPECT_TRUE(client->Lookup(key).ok()) << key;
+  }
+}
+
+// ---- stale suspicion after a revival -------------------------------------
+
+TEST(StaleSuspicionTest, LocalSuspicionKeepsTheEpoch) {
+  // A client's suspicion is local: were it a new epoch, the next delta
+  // would skip the authoritative change holding that epoch number — here
+  // the joiner's instance record — and install an owner id the client's
+  // table has no row for.
+  std::vector<NodeAddress> addresses;
+  for (std::uint16_t i = 0; i < 4; ++i) {
+    addresses.push_back(
+        NodeAddress{"10.0.0.1", static_cast<std::uint16_t>(50000 + i)});
+  }
+  MembershipTable authority = MembershipTable::CreateUniform(16, addresses);
+  MembershipTable client = authority;
+  const std::uint32_t before = authority.epoch();
+  client.SuspectDead(1);
+  EXPECT_EQ(client.epoch(), before);
+  const InstanceId joiner =
+      authority.AddInstance(NodeAddress{"10.0.0.1", 50004}, 4);
+  authority.SetOwner(3, joiner);
+  ASSERT_TRUE(client.ApplyUpdate(authority.EncodeDelta(client.epoch())).ok());
+  EXPECT_EQ(client.instance_count(), 5u);
+  EXPECT_EQ(client.OwnerOf(3), joiner);
+  EXPECT_FALSE(client.Instance(1).alive);  // no record refuted it yet
+}
+
+TEST(StaleSuspicionTest, DeltaNamingAnUnknownOwnerIsRejected) {
+  std::vector<NodeAddress> addresses = {NodeAddress{"10.0.0.1", 50000},
+                                        NodeAddress{"10.0.0.2", 50000}};
+  MembershipTable authority = MembershipTable::CreateUniform(8, addresses);
+  MembershipTable skewed = authority;
+  skewed.MarkDead(1);  // same epoch number as the join below, other change
+  const InstanceId joiner =
+      authority.AddInstance(NodeAddress{"10.0.0.3", 50000}, 2);
+  authority.SetOwner(5, joiner);
+  EXPECT_FALSE(skewed.ApplyUpdate(authority.EncodeDelta(skewed.epoch())).ok());
+  EXPECT_LT(skewed.OwnerOf(5), skewed.instance_count());
+}
+
+TEST(StaleSuspicionTest, FailoverBehindTheEpochIsRedirectedWithTheDelta) {
+  // Instance 1 is the chain successor of instance 0's partitions. A
+  // failover op from a client whose table predates the server's is sent
+  // to the owner with the delta; at the current epoch it is served.
+  std::vector<NodeAddress> addresses = {NodeAddress{"10.0.0.1", 50000},
+                                        NodeAddress{"10.0.0.2", 50000},
+                                        NodeAddress{"10.0.0.3", 50000}};
+  MembershipTable table = MembershipTable::CreateUniform(24, addresses);
+  LoopbackNetwork network;
+  LoopbackTransport transport(&network);
+  ZhtServerOptions options;
+  options.self = 1;
+  options.cluster.num_replicas = 1;
+  ZhtServer server(table, options, &transport);
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "sk-" + std::to_string(i);
+    if (table.OwnerOf(table.PartitionOfKey(candidate)) == 0) key = candidate;
+  }
+
+  MembershipTable revived = table;
+  revived.MarkDead(2);
+  revived.MarkAlive(2);
+  Request push;
+  push.op = OpCode::kMembershipPush;
+  push.value = revived.EncodeDelta(table.epoch());
+  push.server_origin = true;
+  ASSERT_TRUE(server.Handle(std::move(push)).ok());
+
+  Request read;
+  read.op = OpCode::kLookup;
+  read.key = key;
+  read.replica_index = 1;
+  read.epoch = table.epoch();
+  Response stale = server.Handle(Request(read));
+  EXPECT_EQ(stale.status_as_object().code(), StatusCode::kRedirect);
+  EXPECT_FALSE(stale.membership.empty());
+  read.epoch = revived.epoch();
+  EXPECT_EQ(server.Handle(std::move(read)).status_as_object().code(),
+            StatusCode::kNotFound);  // served: the key was never written
+}
+
 // ---- churn chaos schedule ------------------------------------------------
 
 struct ChurnWorker {
@@ -341,12 +463,17 @@ struct ChurnWorker {
     Rng rng(7000 + id);
     while (!stop->load(std::memory_order_relaxed)) {
       const std::string& key = (*keys)[rng.Next() % keys->size()];
-      if (rng.Next() % 5 < 3) {
+      const std::uint64_t pick = rng.Next() % 5;
+      if (pick < 2) {
         // Register discipline: every insert value is unique for its key.
         const std::string value =
             "v_t" + std::to_string(id) + "_" + std::to_string(++seq);
         std::uint64_t op = recorder->Begin(id, OpCode::kInsert, key, value);
         recorder->End(op, client->Insert(key, value).code());
+      } else if (pick == 2) {
+        // A removed key that reads back later is a resurrection.
+        std::uint64_t op = recorder->Begin(id, OpCode::kRemove, key, "");
+        recorder->End(op, client->Remove(key).code());
       } else {
         std::uint64_t op = recorder->Begin(id, OpCode::kLookup, key, "");
         auto got = client->Lookup(key);
@@ -359,13 +486,20 @@ struct ChurnWorker {
 // Rolling join → kill+failure → rejoin → departure under recorded live
 // traffic; the history checker is the oracle. Exercises migration handoff,
 // chain-change repairs, and redirect/retry handling for the given policy.
-void RunChurnSchedule(const std::string& policy) {
+// With `store_dir` set, every partition store is a group-commit NoVoHT log
+// there: a log reopened at a used path must never replay removed keys.
+void RunChurnSchedule(const std::string& policy,
+                      const std::string& store_dir = "") {
   SCOPED_TRACE("policy=" + policy);
   LocalClusterOptions options;
   options.num_instances = 4;
   options.num_partitions = 48;
   options.cluster.num_replicas = 2;
   options.cluster.placement_policy = policy;
+  if (!store_dir.empty()) {
+    options.cluster.durability = DurabilityMode::kGroupCommit;
+    options.store_factory = MakeNoVoHTStoreFactory(store_dir, options.cluster);
+  }
   auto cluster = LocalCluster::Start(options);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
 
@@ -445,6 +579,15 @@ TEST(ChurnChaosTest, MementoScheduleIsLinearizable) {
 
 TEST(ChurnChaosTest, RendezvousScheduleIsLinearizable) {
   RunChurnSchedule("rendezvous");
+}
+
+TEST(ChurnChaosTest, PersistentScheduleIsLinearizable) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("zht_churn_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  RunChurnSchedule("memento", dir.string());
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <atomic>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "net/epoll_server.h"
@@ -485,6 +487,80 @@ TEST(ThreadedServerTest, ServesRequests) {
   (*server)->Stop();
 }
 
+// A response completed after its client hung up must cost the connection,
+// not the process: a plain write(2) to a closed peer raises SIGPIPE, whose
+// default action kills the server. The handler holds each "hold" request's
+// `done` until the client's socket is closed, then the test completes it.
+// Two pipelined requests: the first response draws the closed peer's RST,
+// so the second write hits EPIPE.
+TEST(ThreadedServerTest, ResponseToClosedClientKeepsServing) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<ResponseCallback> held;
+  AsyncRequestHandler handler = [&](Request&& request, ResponseCallback done) {
+    if (request.key != "hold") {
+      done(EchoHandler(std::move(request)));
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    held.push_back(std::move(done));
+    cv.notify_all();
+  };
+  auto wait_held = [&](std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return held.size() >= n; });
+  };
+  auto release = [&](std::size_t i) {
+    ResponseCallback done;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      done = held[i];
+    }
+    Response response;
+    response.seq = i + 1;
+    done(std::move(response));
+  };
+  auto server = ThreadedServer::Create("127.0.0.1", 0, handler);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons((*server)->address().port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string frames;
+  for (std::uint64_t seq = 1; seq <= 2; ++seq) {
+    Request request;
+    request.op = OpCode::kInsert;
+    request.seq = seq;
+    request.key = "hold";
+    frames += FrameMessage(request.Encode());
+  }
+  ASSERT_EQ(::write(fd, frames.data(), frames.size()),
+            static_cast<ssize_t>(frames.size()));
+  ASSERT_TRUE(wait_held(1));
+  ::close(fd);
+  release(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(wait_held(2));
+  release(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  TcpClient client(TcpClientOptions{.cache_connections = false});
+  Request request;
+  request.op = OpCode::kInsert;
+  request.seq = 3;
+  request.key = "next";
+  auto response = client.Call((*server)->address(), request, kTestTimeout);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->value, "next|");
+  (*server)->Stop();
+}
+
 TEST(EpollStressTest, ManyConcurrentCachedClients) {
   // One single-threaded epoll loop absorbing several concurrent cached
   // TCP clients; every request must be answered and counted.
@@ -657,6 +733,49 @@ TEST(EpollServerProcessTest, SurvivesConnectionMapRehashMidDrain) {
   }
   EXPECT_FALSE(ExtractFrameAt(outbound, &offset, &malformed).has_value());
   ::close(pair[1]);
+}
+
+// The epoll front end's form of ThreadedServerTest.ResponseToClosedClient-
+// KeepsServing: the held response completes after the client's end of the
+// socket pair closed (inline, before Start(), so the write is certain to
+// happen); the server must drop that connection and go on serving.
+TEST(EpollServerProcessTest, ResponseToClosedClientKeepsServing) {
+  ResponseCallback held;
+  AsyncRequestHandler handler = [&held](Request&& request,
+                                        ResponseCallback done) {
+    if (request.key == "hold") {
+      held = std::move(done);
+      return;
+    }
+    done(EchoHandler(std::move(request)));
+  };
+  auto server = EpollServer::Create(EpollServerOptions{}, handler);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  EpollServerTestPeer::InjectConnection(**server, pair[0]);
+  Request request;
+  request.op = OpCode::kInsert;
+  request.seq = 1;
+  request.key = "hold";
+  EpollServerTestPeer::FeedBytes(**server, pair[0],
+                                 FrameMessage(request.Encode()));
+  EpollServerTestPeer::Process(**server, pair[0]);
+  ASSERT_TRUE(held);
+  ::close(pair[1]);
+  Response response;
+  response.seq = 1;
+  held(std::move(response));
+  EXPECT_EQ(EpollServerTestPeer::ConnectionCount(**server), 0u);
+
+  ASSERT_TRUE((*server)->Start().ok());
+  TcpClient client;
+  request.seq = 2;
+  request.key = "next";
+  auto next = client.Call((*server)->address(), request, kTestTimeout);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->value, "next|");
 }
 
 // A 10k-frame burst drains in one pass over the buffer: the cursor never

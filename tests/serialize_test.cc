@@ -172,7 +172,10 @@ TEST(ResponseTest, StatusObjectConversion) {
 
 TEST(OpCodeTest, NamesCoverAllOps) {
   for (int op = 1; op <= 22; ++op) {
-    EXPECT_NE(OpCodeName(static_cast<OpCode>(op)), "UNKNOWN") << op;
+    // 8-11 are the retired migration-stream opcodes.
+    const bool retired = op >= 8 && op <= 11;
+    EXPECT_EQ(OpCodeName(static_cast<OpCode>(op)) == "UNKNOWN", retired)
+        << op;
   }
 }
 

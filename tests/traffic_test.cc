@@ -344,7 +344,7 @@ TEST_F(TrafficServerTest, RebuildBeginDropsCachedEntriesOfThePartition) {
   ASSERT_EQ(server->HotCacheEntriesNow(), 1u);
 
   Request begin;
-  begin.op = OpCode::kRebuildBegin;
+  begin.op = OpCode::kTransferBegin;
   begin.seq = ++seq_;
   begin.partition = table_.PartitionOfKey("rk");
   begin.server_origin = true;

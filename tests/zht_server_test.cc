@@ -1,9 +1,12 @@
 // Unit tests of ZhtServer::Handle — the protocol state machine exercised
 // directly, without a cluster harness: ownership checks and REDIRECT
 // payloads, epoch piggybacking, MIGRATING responses, replica traffic,
-// membership pull/push, the migration message trio, and the append
-// dedup window.
+// membership pull/push, the partition transfer, and the append dedup
+// window. PersistentTransferTest runs the transfer on persistent stores
+// (ctest label `recovery`).
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "core/zht_server.h"
 #include "net/loopback.h"
@@ -202,7 +205,7 @@ TEST_F(ZhtServerUnitTest, MigrationTrioMovesPairs) {
 TEST_F(ZhtServerUnitTest, SecondMigrationOfSamePartitionWhileActiveFails) {
   auto source = MakeServer(0);
   // Target that never answers: migration will hang on timeout — instead
-  // use a down address so MigrateBegin fails fast and the lock releases.
+  // use a down address so TransferBegin fails fast and the lock releases.
   NodeAddress dead = network_.Register([](Request&& req) {
     Response resp;
     resp.seq = req.seq;
@@ -367,6 +370,143 @@ TEST_F(ZhtServerUnitTest, StatsReplicationMetrics) {
   EXPECT_EQ(snapshot.ValueOf("server.replication.async"), 1);
   EXPECT_EQ(snapshot.ValueOf("replications_sync"), 1);
   EXPECT_EQ(snapshot.ValueOf("replications_async"), 1);
+}
+
+// ---- Partition transfer on persistent stores -----------------------------
+//
+// A NoVoHT log outlives its store object, so a store reopened at a used
+// path replays whatever the log still holds. Neither end of a transfer may
+// ever let that bring back pairs the transfer replaced or handed off.
+
+namespace fs = std::filesystem;
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+class PersistentTransferTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::path(::testing::TempDir()) /
+           ("zht_transfer_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::create_directories(dir_);
+    addresses_ = {NodeAddress{"10.0.0.1", 50000},
+                  NodeAddress{"10.0.0.2", 50000},
+                  NodeAddress{"10.0.0.3", 50000}};
+    table_ = MembershipTable::CreateUniform(24, addresses_);
+    transport_ = std::make_unique<LoopbackTransport>(&network_);
+  }
+
+  void TearDown() override {
+    servers_.clear();
+    fs::remove_all(dir_);
+  }
+
+  // A group-commit persistent server for `self`, reachable at its table
+  // address over the loopback network.
+  ZhtServer& Start(InstanceId self, int replicas = 0) {
+    ZhtServerOptions options;
+    options.self = self;
+    options.cluster.num_replicas = replicas;
+    options.cluster.durability = DurabilityMode::kGroupCommit;
+    options.store_factory =
+        MakeNoVoHTStoreFactory(dir_.string(), options.cluster);
+    servers_.push_back(
+        std::make_unique<ZhtServer>(table_, options, transport_.get()));
+    network_.Register(addresses_[self], servers_.back()->AsyncHandler());
+    return *servers_.back();
+  }
+
+  // `count` distinct keys of `partition`.
+  std::vector<std::string> KeysIn(PartitionId partition, std::size_t count) {
+    std::vector<std::string> keys;
+    for (int i = 0; i < 100000 && keys.size() < count; ++i) {
+      std::string key = "pk-" + std::to_string(i);
+      if (table_.PartitionOfKey(key) == partition) keys.push_back(key);
+    }
+    EXPECT_EQ(keys.size(), count) << "partition " << partition;
+    return keys;
+  }
+
+  Request Write(const std::string& key, const std::string& value,
+                bool replica_leg) {
+    Request request;
+    request.op = OpCode::kInsert;
+    request.seq = ++seq_;
+    request.key = key;
+    request.value = value;
+    request.epoch = table_.epoch();
+    request.server_origin = replica_leg;
+    request.replica_index = replica_leg ? 1 : 0;
+    return request;
+  }
+
+  static std::size_t OpenFds() {
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto& entry :
+         fs::directory_iterator("/proc/self/fd")) {
+      ++count;
+    }
+    return count;
+  }
+
+  fs::path dir_;
+  std::vector<NodeAddress> addresses_;
+  MembershipTable table_;
+  LoopbackNetwork network_;
+  std::unique_ptr<LoopbackTransport> transport_;
+  std::vector<std::unique_ptr<ZhtServer>> servers_;
+  std::uint64_t seq_ = 0;
+};
+
+TEST_F(PersistentTransferTest, SecondStreamReplacesTheFirstCopy) {
+  ZhtServer& first = Start(0);
+  ZhtServer& second = Start(2);
+  ZhtServer& dest = Start(1);
+  const PartitionId p = table_.PartitionsOf(0).front();
+  const std::vector<std::string> keys = KeysIn(p, 2);
+  ASSERT_TRUE(first.Handle(Write(keys[0], "a1", true)).ok());
+  ASSERT_TRUE(first.Handle(Write(keys[1], "b1", true)).ok());
+  ASSERT_TRUE(second.Handle(Write(keys[0], "a2", true)).ok());
+
+  ASSERT_TRUE(first.MigratePartitionTo(p, addresses_[1]).ok());
+  EXPECT_EQ(dest.PartitionPairs(p).size(), 2u);
+  ASSERT_TRUE(second.MigratePartitionTo(p, addresses_[1]).ok());
+  // Exactly the second stream: the first one's log must not replay.
+  EXPECT_EQ(dest.PartitionPairs(p), (Pairs{{keys[0], "a2"}}));
+  EXPECT_EQ(dest.stats().migrations_in, 2u);
+
+  // The source learns the new owner, then takes a replica write for the
+  // partition: reopening its store must not replay the handed-off pairs.
+  MembershipTable moved = table_;
+  moved.SetOwner(p, 1);
+  Request push;
+  push.op = OpCode::kMembershipPush;
+  push.seq = ++seq_;
+  push.value = moved.EncodeDelta(table_.epoch());
+  push.server_origin = true;
+  ASSERT_TRUE(first.Handle(std::move(push)).ok());
+  ASSERT_TRUE(first.Handle(Write(keys[1], "b3", true)).ok());
+  EXPECT_EQ(first.PartitionPairs(p), (Pairs{{keys[1], "b3"}}));
+}
+
+TEST_F(PersistentTransferTest, RepairsLeaveNoLandingStoreOpen) {
+  ZhtServer& owner = Start(0, /*replicas=*/1);
+  ZhtServer& replica = Start(1, /*replicas=*/1);  // 0's chain successor
+  const std::vector<PartitionId> partitions = table_.PartitionsOf(0);
+  ASSERT_GE(partitions.size(), 4u);
+  // Seed every partition through the owner (its sync leg opens the
+  // replica's store), then diverge the replica so each repair streams.
+  for (PartitionId p : partitions) {
+    const std::vector<std::string> keys = KeysIn(p, 2);
+    ASSERT_TRUE(owner.Handle(Write(keys[0], "v", false)).ok());
+    ASSERT_TRUE(replica.Handle(Write(keys[1], "stray", true)).ok());
+  }
+  const std::size_t fds_before = OpenFds();
+  for (PartitionId p : partitions) {
+    ASSERT_TRUE(owner.RepairPartition(p).ok());
+    EXPECT_EQ(replica.PartitionPairs(p), owner.PartitionPairs(p));
+  }
+  EXPECT_EQ(owner.stats().rebuilds_completed, partitions.size());
+  EXPECT_EQ(OpenFds(), fds_before);
 }
 
 }  // namespace
