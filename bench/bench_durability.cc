@@ -7,13 +7,33 @@
 // Both durable modes are also checked for the property the modes exist to
 // provide: a copy of the log taken after the last ack must recover every
 // acked insert (acked_op_survival = 1.0).
+//
+// A last row runs the same 16 writers over the 1,024 partition stores one
+// server instance gets from MakeNoVoHTStoreFactory under group commit,
+// acking the way ZhtServer does (last_commit_token, then WaitDurable): it
+// reports the fsyncs issued and the threads the stores added.
 #include <filesystem>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/clock.h"
+#include "core/zht_server.h"
 #include "novoht/novoht.h"
+
+namespace {
+
+std::uint64_t ThreadCount() {
+  std::uint64_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+}  // namespace
 
 int main() {
   using namespace zht;
@@ -121,6 +141,64 @@ int main() {
     Report().AddMetric(
         std::string("insert_ops_per_sec.") + DurabilityModeName(mode),
         ops_per_sec[m]);
+  }
+
+  // 16 writers over 1,024 partition stores of one instance.
+  {
+    const std::uint32_t kPartitions = 1024;
+    ClusterOptions cluster;
+    cluster.durability = DurabilityMode::kGroupCommit;
+    fs::create_directories(dir / "partitions");
+    StoreFactory factory =
+        MakeNoVoHTStoreFactory((dir / "partitions").string(), cluster);
+    const std::uint64_t threads_before = ThreadCount();
+    std::vector<std::unique_ptr<KVStore>> stores;
+    for (std::uint32_t p = 0; p < kPartitions; ++p) {
+      stores.push_back(factory(0, p));
+      if (!stores.back()) {
+        std::fprintf(stderr, "factory failed for partition %u\n", p);
+        return 1;
+      }
+    }
+    const std::uint64_t threads_added = ThreadCount() - threads_before;
+
+    Stopwatch watch(SystemClock::Instance());
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < kOpsPerWriter; ++i) {
+          KVStore& store =
+              *stores[(static_cast<std::uint32_t>(w) * 64 +
+                       static_cast<std::uint32_t>(i)) % kPartitions];
+          std::string key =
+              "t" + std::to_string(w) + "_i" + std::to_string(i);
+          if (!store.Put(key, value).ok() ||
+              !store.WaitDurable(store.last_commit_token()).ok()) {
+            std::abort();
+          }
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    const double secs = ToMicros(watch.Elapsed()) / 1e6;
+    const std::uint64_t total =
+        static_cast<std::uint64_t>(kWriters) * kOpsPerWriter;
+    const double rate = static_cast<double>(total) / secs;
+    // Every store of the instance reports the one log they share.
+    StoreDurabilityMetrics metrics;
+    stores.front()->durability_metrics(&metrics);
+    const std::uint64_t fsyncs = metrics.group_commits;
+    PrintRow({"gc_1024p", FmtInt(total), Fmt(secs, 3),
+              FmtInt(static_cast<std::uint64_t>(rate)), FmtInt(fsyncs), "-"},
+             13);
+    std::printf("gc_1024p: %llu threads added by %u partition stores\n",
+                static_cast<unsigned long long>(threads_added), kPartitions);
+    Report().AddMetric("insert_ops_per_sec.group_commit_1024p", rate);
+    Report().AddMetric("fsyncs.group_commit_1024p",
+                       static_cast<double>(fsyncs));
+    Report().AddMetric("threads_added.group_commit_1024p",
+                       static_cast<double>(threads_added));
+    stores.clear();
   }
 
   const double speedup = ops_per_sec[1] / ops_per_sec[2];

@@ -1,6 +1,9 @@
 #include "core/zht_server.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -91,25 +94,73 @@ thread_local ExecutorTls tls_executor;
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+// Adds one store's durability figures to `logs` unless a store sharing
+// the same log already did.
+void AddLogMetrics(StoreDurabilityMetrics one,
+                   std::vector<StoreDurabilityMetrics>* logs) {
+  if (one.log_id != 0) {
+    for (const StoreDurabilityMetrics& seen : *logs) {
+      if (seen.log_id == one.log_id) return;
+    }
+  }
+  logs->push_back(std::move(one));
+}
+
 }  // namespace
 
 StoreFactory MakeNoVoHTStoreFactory(std::string dir,
                                     const ClusterOptions& cluster) {
-  return [dir = std::move(dir), cluster](
+  NoVoHTOptions options;
+  options.durability = cluster.durability;
+  options.max_commit_latency = cluster.max_commit_latency;
+  // The server acks once per request/carrier from the flusher's
+  // NotifyDurable callback; mutators must not also block per-op inside the
+  // shard drain.
+  options.wait_for_durable = false;
+  // Every store of an instance shares one log. It closes with its last
+  // store, and stays listed here until that close has finished, so a
+  // reopen of the instance never overlaps it.
+  struct InstanceLogs {
+    std::mutex mu;
+    std::condition_variable closed;
+    std::map<InstanceId, std::weak_ptr<NoVoHTInstanceLog>> by_self;
+  };
+  auto logs = std::make_shared<InstanceLogs>();
+  return [dir = std::move(dir), options, logs](
              InstanceId self,
              PartitionId partition) -> std::unique_ptr<KVStore> {
-    NoVoHTOptions options;
-    options.path = dir + "/i" + std::to_string(self) + "_p" +
-                   std::to_string(partition) + ".novoht";
-    options.durability = cluster.durability;
-    options.max_commit_latency = cluster.max_commit_latency;
-    // The server acks once per request/carrier from the flusher's
-    // NotifyDurable callback; mutators must not also block per-op inside
-    // the shard drain.
-    options.wait_for_durable = false;
-    auto store = NoVoHT::Open(options);
+    std::shared_ptr<NoVoHTInstanceLog> log;
+    {
+      std::unique_lock<std::mutex> lock(logs->mu);
+      for (auto it = logs->by_self.find(self); it != logs->by_self.end();
+           it = logs->by_self.find(self)) {
+        log = it->second.lock();
+        if (log) break;
+        logs->closed.wait(lock);
+      }
+      if (!log) {
+        const std::string prefix = dir + "/i" + std::to_string(self);
+        auto opened = NoVoHTInstanceLog::Open(
+            prefix + ".log", prefix + "_p", options, [logs, self] {
+              {
+                std::lock_guard<std::mutex> closing(logs->mu);
+                logs->by_self.erase(self);
+              }
+              logs->closed.notify_all();
+            });
+        if (!opened.ok()) {
+          ZHT_WARN << "NoVoHT store factory cannot open " << prefix
+                   << ".log: " << opened.status().ToString();
+          return nullptr;
+        }
+        log = std::move(*opened);
+        logs->by_self[self] = log;
+      }
+    }
+    auto store = log->OpenPartition(partition);
     if (!store.ok()) {
-      ZHT_WARN << "NoVoHT store factory failed for " << options.path << ": "
+      ZHT_WARN << "NoVoHT store factory failed for "
+               << log->CheckpointPath(partition) << ": "
                << store.status().ToString();
       return nullptr;
     }
@@ -176,14 +227,14 @@ ZhtServer::~ZhtServer() {
   stopping_.store(true, std::memory_order_release);
   // Contract: the hosting front-end has stopped (joined) its reactors
   // before destroying the server, so this thread may drain every shard
-  // itself. Finishers and store flushers are still running and may Post
+  // itself. Finishers and log flushers are still running and may Post
   // concurrently — the unbind is an atomic store and the waker stays
   // callable (the front-end's fds outlive this server).
   for (auto& shard : shards_) {
     shard->executor.store(-1, std::memory_order_release);
   }
   // Drain remaining mailbox work and wait for every in-flight request to
-  // complete (durability callbacks park on store flushers; replication
+  // complete (durability callbacks park on log flushers; replication
   // finishers are still running and are stopped only after this).
   for (;;) {
     for (auto& shard : shards_) DrainShared(*shard);
@@ -206,9 +257,10 @@ ZhtServer::~ZhtServer() {
   queue_cv_.notify_all();
   if (async_worker_.joinable()) async_worker_.join();
   // Tear the stores down while this server's mutexes and condition
-  // variables are still alive: destroying a store joins its flusher
-  // thread, which may still be exiting a signal (EnqueueFinisher,
-  // OnRequestComplete) issued from its final durability callback.
+  // variables are still alive: destroying the last store on a log joins
+  // the log's flusher thread, which may still be exiting a signal
+  // (EnqueueFinisher, OnRequestComplete) issued from its final durability
+  // callback.
   for (auto& shard : shards_) shard->stores.clear();
 }
 
@@ -835,7 +887,7 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
     });
   };
   if (token != 0) {
-    // Ack parks on the store's flusher; no thread blocks for the group
+    // Ack parks on the log's flusher; no thread blocks for the group
     // commit. Concurrent writers join the same commit window.
     store->NotifyDurable(token, std::move(fin));
   } else {
@@ -1018,8 +1070,8 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
 
   // Durable ack, once per touched store: tokens are captured after every
   // sub-op applied (monotone, so the latest covers them all), and one
-  // NotifyDurable per store parks on its flusher. The last callback fixes
-  // any failed partitions' sub-ops and reports the group done.
+  // NotifyDurable per store parks on its log's flusher. The last callback
+  // fixes any failed partitions' sub-ops and reports the group done.
   struct TouchedStore {
     std::shared_ptr<KVStore> store;
     std::uint64_t token = 0;
@@ -1425,9 +1477,11 @@ void ZhtServer::ExecTransferEnd(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  std::shared_ptr<KVStore> pinned = shard.stores[request.partition];
+  // The callback holds no store: a store erased before the fsync still
+  // resolves its parked callbacks, and the last reference to a store must
+  // never drop on the flusher thread that its destruction may join.
   canonical->NotifyDurable(
-      token, [pinned = std::move(pinned), resp = std::move(resp),
+      token, [resp = std::move(resp),
               done = std::move(done)](Status durable) mutable {
         if (!durable.ok()) resp.status = durable.raw();
         done(std::move(resp));
@@ -1577,9 +1631,20 @@ void ZhtServer::StreamTransfer(Shard& shard, PartitionId partition,
     });
   }
   flush();
-  EnqueueAsyncReplication(message(OpCode::kTransferBegin), target);
+  // A target that cannot take Begin cannot take the rest either: the
+  // worker then drops the stream's legs instead of timing out on each.
+  auto stream = std::make_shared<Status>();
+  EnqueueAsyncLeg(message(OpCode::kTransferBegin), target,
+                  [stream](const Result<Response>& result) {
+                    if (!result.ok()) {
+                      *stream = result.status();
+                    } else if (!result->ok()) {
+                      *stream = result->status_as_object();
+                    }
+                  },
+                  stream);
   for (Request& data : carriers) {
-    EnqueueAsyncReplication(std::move(data), target);
+    EnqueueAsyncLeg(std::move(data), target, nullptr, stream);
   }
   Request end = message(OpCode::kTransferEnd);
   end.value = digest.Encode();
@@ -1589,7 +1654,8 @@ void ZhtServer::StreamTransfer(Shard& shard, PartitionId partition,
                     on_end(result.ok() ? result->status_as_object()
                                        : result.status(),
                            size);
-                  });
+                  },
+                  stream);
 }
 
 void ZhtServer::StreamRebuildTarget(Shard& shard, PartitionId partition,
@@ -1858,11 +1924,12 @@ void ZhtServer::EnqueueAsyncReplication(Request request,
 
 void ZhtServer::EnqueueAsyncLeg(
     Request request, const NodeAddress& target,
-    std::function<void(const Result<Response>&)> on_result) {
+    std::function<void(const Result<Response>&)> on_result,
+    std::shared_ptr<Status> stream) {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    async_queue_.push_back(
-        AsyncLeg{std::move(request), target, std::move(on_result)});
+    async_queue_.push_back(AsyncLeg{std::move(request), target,
+                                    std::move(on_result), std::move(stream)});
   }
   queue_cv_.notify_one();
 }
@@ -1879,7 +1946,10 @@ void ZhtServer::AsyncReplicationLoop() {
       async_queue_.pop_front();
       ++async_inflight_;
     }
-    if (!item.target.host.empty() || item.target.port != 0) {
+    if (item.stream && !item.stream->ok()) {
+      // Begin failed: skip the leg; End reports that failure.
+      if (item.on_result) item.on_result(Result<Response>(*item.stream));
+    } else if (!item.target.host.empty() || item.target.port != 0) {
       auto result = peer_transport_->Call(item.target, item.request,
                                           options_.cluster.peer_timeout);
       if (!result.ok()) {
@@ -2007,11 +2077,7 @@ void ZhtServer::ScatterCensus(
         census.entries += store->Size();
         StoreDurabilityMetrics one;
         if (store->durability_metrics(&one)) {
-          census.durability.group_commit_batch.Merge(one.group_commit_batch);
-          census.durability.fsync_micros.Merge(one.fsync_micros);
-          census.durability.fsync_errors += one.fsync_errors;
-          census.durability.group_commits += one.group_commits;
-          census.any_durability = true;
+          AddLogMetrics(std::move(one), &census.logs);
         }
       }
       if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -2028,19 +2094,21 @@ MetricsSnapshot ZhtServer::BuildSnapshot(
   MetricsSnapshot snapshot;
   std::uint64_t entries = 0;
   std::size_t held = 0;
-  StoreDurabilityMetrics durability;
-  bool any_durability = false;
+  std::vector<StoreDurabilityMetrics> logs;
   for (const ShardCensus& c : census) {
     entries += c.entries;
     held += c.held;
-    if (c.any_durability) {
-      durability.group_commit_batch.Merge(c.durability.group_commit_batch);
-      durability.fsync_micros.Merge(c.durability.fsync_micros);
-      durability.fsync_errors += c.durability.fsync_errors;
-      durability.group_commits += c.durability.group_commits;
-      any_durability = true;
-    }
+    for (const StoreDurabilityMetrics& log : c.logs) AddLogMetrics(log, &logs);
   }
+  // Durability telemetry counts each log once, however many stores share it.
+  StoreDurabilityMetrics durability;
+  for (const StoreDurabilityMetrics& log : logs) {
+    durability.group_commit_batch.Merge(log.group_commit_batch);
+    durability.fsync_micros.Merge(log.fsync_micros);
+    durability.fsync_errors += log.fsync_errors;
+    durability.group_commits += log.group_commits;
+  }
+  const bool any_durability = !logs.empty();
   snapshot.AddGauge("instance", static_cast<std::int64_t>(options_.self));
   snapshot.AddGauge("epoch", epoch_.load(kRelaxed));
   snapshot.AddGauge("partitions_held", static_cast<std::int64_t>(held));

@@ -32,7 +32,7 @@
 // and the last group's durability callback finalizes the carrier; a
 // membership push applies on shard 0 (the epoch authority) then fans the
 // payload to every other shard before acking. Durability acks park on the
-// store's flusher via KVStore::NotifyDurable — no thread blocks in the
+// log's flusher via KVStore::NotifyDurable — no thread blocks in the
 // server for a group commit. Synchronous replication legs run on a small
 // finisher pool and partition transfers (migration and rebuild alike) on
 // the ordered async-replication worker, so shard drains never do network
@@ -78,11 +78,19 @@ namespace zht {
 using StoreFactory = std::function<std::unique_ptr<KVStore>(
     InstanceId self, PartitionId partition)>;
 
-// Persistent NoVoHT partition stores: one log file per (instance, partition)
-// under `dir`, with durability taken from `cluster`. The stores defer the
-// group-commit wait (wait_for_durable = false): ZhtServer acks each request
-// — or each BATCH carrier — exactly once, from the flusher's NotifyDurable
-// callback, after its mutations are durable.
+// Persistent NoVoHT partition stores: one group-committed log per instance
+// at `dir/i<self>.log`, shared by all of that instance's partition stores
+// (one fd, one flusher thread, one commit horizon), and one checkpoint per
+// (instance, partition) at `dir/i<self>_p<partition>.novoht`, a standalone
+// NoVoHT log of the partition's pairs (DESIGN.md §10). Durability comes
+// from `cluster`. An instance's log stays open while any of its partition
+// stores does; the last one's close checkpoints every partition and
+// truncates the log, and a store the factory opens meanwhile waits for
+// that close. One factory per `dir`: a second one would open a second
+// writer on the same logs. The stores defer the group-commit wait
+// (wait_for_durable = false): ZhtServer acks each request — or each BATCH
+// carrier — exactly once, from the flusher's NotifyDurable callback, after
+// its mutations are durable.
 StoreFactory MakeNoVoHTStoreFactory(std::string dir,
                                     const ClusterOptions& cluster);
 
@@ -470,8 +478,8 @@ class ZhtServer {
   struct ShardCensus {
     std::uint64_t entries = 0;
     std::size_t held = 0;
-    StoreDurabilityMetrics durability;
-    bool any_durability = false;
+    // One entry per log: stores sharing a log (same log_id) add it once.
+    std::vector<StoreDurabilityMetrics> logs;
   };
 
   Shard& ShardForPartition(PartitionId partition) const {
@@ -536,7 +544,8 @@ class ZhtServer {
   // In-shard: snapshot and digest `partition`, then enqueue the whole
   // Begin/Data*/End conversation to `target` into the async queue.
   // `replica_index` is the target's chain depth (0: it becomes the owner).
-  // `on_end` runs on the async worker with End's result.
+  // `on_end` runs on the async worker with End's result, or with Begin's
+  // failure, which cancels the rest of the stream.
   void StreamTransfer(Shard& shard, PartitionId partition,
                       const NodeAddress& target, std::uint8_t replica_index,
                       TransferDone on_end);
@@ -588,7 +597,8 @@ class ZhtServer {
   // As above, plus a completion hook run on the async worker with the
   // peer's result (rebuild End verification). Null hook = fire-and-forget.
   void EnqueueAsyncLeg(Request request, const NodeAddress& target,
-                       std::function<void(const Result<Response>&)> on_result);
+                       std::function<void(const Result<Response>&)> on_result,
+                       std::shared_ptr<Status> stream = nullptr);
   void AsyncReplicationLoop();
 
   void EnqueueFinisher(std::function<void()> job);
@@ -704,6 +714,10 @@ class ZhtServer {
     Request request;
     NodeAddress target;
     std::function<void(const Result<Response>&)> on_result;  // may be null
+    // Shared by the legs of one transfer stream; holds the failure of its
+    // Begin, after which the worker drops the stream's remaining legs and
+    // hands the failure to End's on_result. Touched only by the worker.
+    std::shared_ptr<Status> stream;
   };
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -40,6 +40,9 @@ inline const char* DurabilityModeName(DurabilityMode mode) {
 // use the shared log-linear bucket layout so callers can Merge() across
 // partition stores.
 struct StoreDurabilityMetrics {
+  // Identity of the log these figures describe. Stores sharing one log
+  // report the same id, so an aggregate counts each log once; 0 = unknown.
+  std::uint64_t log_id = 0;
   HistogramData group_commit_batch;  // mutations covered per group fsync
   HistogramData fsync_micros;        // wall time of each log fsync
   std::uint64_t fsync_errors = 0;    // failed fsyncs (store goes read-only)

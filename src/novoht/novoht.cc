@@ -1,93 +1,23 @@
 #include "novoht/novoht.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 
 #include "common/clock.h"
-#include "common/crc32.h"
 #include "common/log.h"
 #include "hashing/hash_functions.h"
-#include "serialize/wire.h"
 
 namespace zht {
 namespace {
 
-// Log record types.
-constexpr std::uint8_t kRecPut = 1;
-constexpr std::uint8_t kRecRemove = 2;
-constexpr std::uint8_t kRecAppend = 3;
-
-std::size_t VarintLen(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-// Record layout: [crc32:4 LE][type:1][klen varint][vlen varint][key][value]
-// crc covers everything after the crc field. *value_offset_in_record gets
-// the byte index of the value payload within the record.
-std::string EncodeRecord(std::uint8_t type, std::string_view key,
-                         std::string_view value,
-                         std::size_t* value_offset_in_record = nullptr) {
-  std::string body;
-  wire::Writer w(&body);
-  body.push_back(static_cast<char>(type));
-  w.PutVarint(key.size());
-  w.PutVarint(value.size());
-  w.PutBytes(key);
-  w.PutBytes(value);
-
-  if (value_offset_in_record) {
-    *value_offset_in_record = 4 + 1 + VarintLen(key.size()) +
-                              VarintLen(value.size()) + key.size();
-  }
-  std::uint32_t crc = Crc32c(body);
-  std::string out;
-  out.reserve(body.size() + 4);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-  out += body;
-  return out;
-}
-
-Status WriteAll(int fd, const std::string& data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status(StatusCode::kInternal,
-                    std::string("log write failed: ") + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return Status::Ok();
-}
-
-bool PreadExact(int fd, std::uint64_t offset, char* out, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    ssize_t r = ::pread(fd, out + done, n - done,
-                        static_cast<off_t>(offset + done));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;
-    done += static_cast<std::size_t>(r);
-  }
-  return true;
-}
+// Checkpoints are written and installed this many files at a time, so a
+// close of thousands of partitions keeps a bounded number of fds open.
+constexpr std::size_t kCheckpointBatch = 256;
 
 }  // namespace
 
@@ -104,50 +34,30 @@ Result<std::unique_ptr<NoVoHT>> NoVoHT::Open(const NoVoHTOptions& options) {
   }
   std::unique_ptr<NoVoHT> store(new NoVoHT(options));
   if (!options.path.empty()) {
-    Status status = store->RecoverFromLog();
+    Status status = store->Replay(options.path, /*trim=*/true, nullptr);
     if (!status.ok()) return status;
-    store->log_fd_ =
-        ::open(options.path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (store->log_fd_ < 0) {
-      return Status(StatusCode::kInternal,
-                    "cannot open log: " + options.path);
-    }
+    auto log = CommitLog::Open(
+        options.path, CommitLogOptions{options.durability,
+                                       options.max_commit_latency,
+                                       options.fsync_hook});
+    if (!log.ok()) return log.status();
+    store->own_log_ = std::move(*log);
+    store->log_ = store->own_log_.get();
     store->read_fd_ = ::open(options.path.c_str(), O_RDONLY);
     if (store->read_fd_ < 0) {
       return Status(StatusCode::kInternal,
                     "cannot open log for reads: " + options.path);
     }
     store->EnforceResidencyCap();
-    if (options.durability == DurabilityMode::kGroupCommit) {
-      store->flusher_ = std::thread([s = store.get()] { s->FlusherLoop(); });
-    }
   }
   return store;
 }
 
 NoVoHT::~NoVoHT() {
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(commit_mu_);
-      stop_flusher_ = true;
-    }
-    flusher_cv_.notify_all();
-    flusher_.join();
-    // The flusher syncs outstanding commits before exiting, so any waiter
-    // still parked resolves against the final durable_seq_ / failure state.
-    std::vector<DurableWaiter> leftovers;
-    Status outcome = Status::Ok();
-    {
-      std::lock_guard<std::mutex> lock(commit_mu_);
-      leftovers.swap(durable_waiters_);
-      if (sync_failed_) {
-        outcome = Status(StatusCode::kInternal,
-                         "log fsync failed; store is read-only");
-      }
-    }
-    for (DurableWaiter& waiter : leftovers) waiter.done(outcome);
-  }
-  if (log_fd_ >= 0) ::close(log_fd_);
+  if (shared_) shared_->Detach(this);
+  // Joins the flusher, which syncs outstanding commits and resolves every
+  // parked callback, before the table goes.
+  own_log_.reset();
   if (read_fd_ >= 0) ::close(read_fd_);
   for (Node* head : buckets_) {
     while (head) {
@@ -264,175 +174,34 @@ void NoVoHT::RehashInto(std::uint64_t new_bucket_count) {
   }
 }
 
-bool NoVoHT::ValidRecordFollows(int fd, std::uint64_t from,
-                                std::uint64_t file_size) {
-  // Brute-force resync: try every byte offset as a candidate record start
-  // and accept the first whose CRC checks out over a complete body. Only
-  // runs on recovery's parse-failure path, so quadratic cost is fine; a
-  // false positive needs a 1-in-2^32 CRC collision per candidate.
-  std::string buf;
-  for (std::uint64_t q = from; q + 5 <= file_size; ++q) {
-    // Header-worth of bytes: crc + type + two max-length varints.
-    const std::size_t header_want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(file_size - q, 4 + 1 + 10 + 10));
-    buf.resize(header_want);
-    if (!PreadExact(fd, q, buf.data(), buf.size())) return false;
-    const std::uint32_t stored_crc =
-        static_cast<std::uint8_t>(buf[0]) |
-        static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[1])) << 8 |
-        static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[2])) << 16 |
-        static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[3])) << 24;
-    wire::Reader fields(std::string_view(buf).substr(5));
-    std::uint64_t klen = 0, vlen = 0;
-    if (!fields.GetVarint(&klen) || !fields.GetVarint(&vlen)) continue;
-    const std::uint64_t body_len =
-        1 + VarintLen(klen) + VarintLen(vlen) + klen + vlen;
-    if (q + 4 + body_len > file_size) continue;
-    buf.resize(static_cast<std::size_t>(body_len));
-    if (!PreadExact(fd, q + 4, buf.data(), buf.size())) return false;
-    if (Crc32c(buf) == stored_crc) return true;
-  }
-  return false;
-}
-
-Status NoVoHT::RecoverFromLog() {
-  int fd = ::open(options_.path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::Ok();  // fresh store
-    return Status(StatusCode::kInternal, "cannot read log: " + options_.path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status(StatusCode::kInternal, "cannot stat log: " + options_.path);
-  }
-  const std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
-
-  // Replay through a bounded sliding window covering bytes
-  // [window_start, window_start + window.size()) of the file, so recovery
-  // memory stays O(recover_buffer_bytes) regardless of log size. The window
-  // grows past the cap only for a single over-sized record.
-  const std::uint64_t window_cap =
-      std::max<std::uint64_t>(options_.recover_buffer_bytes, 4096);
-  std::string window;
-  std::uint64_t window_start = 0;
-  auto ensure = [&](std::uint64_t pos, std::uint64_t end) -> bool {
-    if (pos > window_start) {
-      window.erase(0, static_cast<std::size_t>(pos - window_start));
-      window_start = pos;
-    }
-    end = std::min(std::max(end, pos + window_cap), file_size);
-    while (window_start + window.size() < end) {
-      char buf[1 << 16];
-      const std::uint64_t at = window_start + window.size();
-      const std::size_t want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(sizeof(buf), end - at));
-      const ssize_t n = ::pread(fd, buf, want, static_cast<off_t>(at));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      if (n == 0) return false;  // file shrank under us
-      window.append(buf, static_cast<std::size_t>(n));
-    }
-    return true;
-  };
-
-  std::uint64_t pos = 0;
+Status NoVoHT::Replay(const std::string& path, bool trim,
+                      std::uint64_t* horizon) {
+  if (horizon) *horizon = 0;
   std::uint64_t valid_end = 0;
-  Status failure;
-  while (pos + 5 <= file_size) {
-    if (!ensure(pos, pos + 4 + 1 + 10 + 10)) {
-      failure = Status(StatusCode::kInternal, "log read failed in recovery");
-      break;
-    }
-    const char* base = window.data() + (pos - window_start);
-    const std::size_t avail = static_cast<std::size_t>(
-        window.size() - (pos - window_start));
-    std::uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored_crc |= static_cast<std::uint32_t>(
-                        static_cast<std::uint8_t>(base[i]))
-                    << (8 * i);
-    }
-    wire::Reader fields(std::string_view(base + 5, avail - 5));
-    std::uint64_t klen = 0, vlen = 0;
-    const bool parsed = fields.GetVarint(&klen) && fields.GetVarint(&vlen);
-    const std::uint64_t record_len =
-        parsed ? 4 + 1 + VarintLen(klen) + VarintLen(vlen) + klen + vlen : 0;
-    if (!parsed || pos + record_len > file_size) {
-      // The tail does not hold one whole well-formed record. A crash mid-
-      // append looks exactly like this (torn tail: trim it) — but so does a
-      // damaged length field mid-log, which used to silently discard every
-      // later record. Resync: if any complete CRC-valid record follows,
-      // this is corruption, not a torn tail.
-      if (ValidRecordFollows(fd, pos + 1, file_size)) {
-        failure = Status(StatusCode::kCorruption,
-                         "log corrupt at offset " + std::to_string(pos));
-      }
-      break;
-    }
-    if (!ensure(pos, pos + record_len)) {
-      failure = Status(StatusCode::kInternal, "log read failed in recovery");
-      break;
-    }
-    base = window.data() + (pos - window_start);
-    const std::string_view body(base + 4,
-                                static_cast<std::size_t>(record_len - 4));
-    if (Crc32c(body) != stored_crc) {
-      // Torn tail from a crash is expected: truncate. Corruption mid-log
-      // (more records follow) is an error.
-      if (pos + record_len < file_size) {
-        failure = Status(StatusCode::kCorruption,
-                         "log corrupt at offset " + std::to_string(pos));
-      }
-      break;
-    }
-
-    const std::uint8_t type = static_cast<std::uint8_t>(base[4]);
-    const std::size_t header = 1 + VarintLen(klen) + VarintLen(vlen);
-    const std::string_view key(base + 4 + header,
-                               static_cast<std::size_t>(klen));
-    const std::string_view value(base + 4 + header + klen,
-                                 static_cast<std::size_t>(vlen));
-    // Value payload offset within the file for residency bookkeeping.
-    const std::uint64_t value_offset = pos + 4 + header + klen;
-
-    switch (type) {
-      case kRecPut: {
-        dead_bytes_ += ApplyPut(key, value);
-        if (Node* node = FindNode(key)) {
-          node->log_offset = value_offset;
-          node->offset_valid = true;
+  Status status = logrec::Scan(
+      path, options_.recover_buffer_bytes,
+      [&](const logrec::Record& record) -> Status {
+        if (record.partitioned) {
+          return Status(StatusCode::kCorruption,
+                        "instance-log record in a store log");
         }
-        break;
-      }
-      case kRecRemove: {
-        bool found = false;
-        dead_bytes_ += ApplyRemove(key, &found);
-        break;
-      }
-      case kRecAppend:
-        ApplyAppend(key, value);
-        break;
-      default:
-        failure = Status(StatusCode::kCorruption,
-                         "unknown log record type " + std::to_string(type));
-        break;
-    }
-    if (!failure.ok()) break;
-    ++recovered_records_;
-    pos += record_len;
-    valid_end = pos;
-    log_bytes_ += record_len;
-  }
-  ::close(fd);
-  if (!failure.ok()) return failure;
-
-  if (valid_end < file_size) {
-    // Trim torn tail so future appends start at a clean boundary.
-    if (::truncate(options_.path.c_str(),
-                   static_cast<off_t>(valid_end)) != 0) {
+        if (record.type == logrec::kHorizon) {
+          if (horizon) *horizon = logrec::DecodeU64(record.value);
+          return Status::Ok();
+        }
+        Status applied = ApplyRecord(record);
+        if (!applied.ok()) return applied;
+        ++recovered_records_;
+        log_bytes_ += record.size;
+        return Status::Ok();
+      },
+      &valid_end);
+  if (!status.ok()) return status;
+  struct stat st;
+  if (trim && ::stat(path.c_str(), &st) == 0 &&
+      valid_end < static_cast<std::uint64_t>(st.st_size)) {
+    // Trim the torn tail so future appends start at a clean boundary.
+    if (::truncate(path.c_str(), static_cast<off_t>(valid_end)) != 0) {
       return Status(StatusCode::kInternal, "cannot truncate torn log tail");
     }
     ZHT_WARN << "NoVoHT: trimmed torn log tail at byte " << valid_end;
@@ -440,18 +209,28 @@ Status NoVoHT::RecoverFromLog() {
   return Status::Ok();
 }
 
-int NoVoHT::SyncFd(int fd) const {
-  if (options_.fsync_hook) return options_.fsync_hook(fd);
-  return ::fdatasync(fd);
-}
-
-Status NoVoHT::FailSync(const char* what) {
-  fsync_errors_.fetch_add(1, std::memory_order_relaxed);
-  read_only_.store(true, std::memory_order_relaxed);
-  return Status(StatusCode::kInternal,
-                std::string(what) +
-                    " failed; page-cache state is unknowable, store is now "
-                    "read-only");
+Status NoVoHT::ApplyRecord(const logrec::Record& record) {
+  switch (record.type) {
+    case logrec::kPut: {
+      AddDead(ApplyPut(record.key, record.value));
+      if (Node* node = FindNode(record.key)) {
+        node->log_offset = record.value_offset;
+        node->offset_valid = true;
+      }
+      return Status::Ok();
+    }
+    case logrec::kRemove: {
+      bool found = false;
+      AddDead(ApplyRemove(record.key, &found));
+      return Status::Ok();
+    }
+    case logrec::kAppend:
+      ApplyAppend(record.key, record.value);
+      return Status::Ok();
+    default:
+      return Status(StatusCode::kCorruption,
+                    "unknown log record type " + std::to_string(record.type));
+  }
 }
 
 Status NoVoHT::AppendLogRecord(std::uint8_t type, std::string_view key,
@@ -459,156 +238,47 @@ Status NoVoHT::AppendLogRecord(std::uint8_t type, std::string_view key,
                                std::uint64_t* value_offset,
                                std::uint64_t* commit_token) {
   if (commit_token) *commit_token = 0;
-  if (log_fd_ < 0) {
+  if (!log_) {
     if (value_offset) *value_offset = 0;
     return Status::Ok();
   }
+  if (shared_) type |= logrec::kPartitioned;
   std::size_t offset_in_record = 0;
-  std::string record = EncodeRecord(type, key, value, &offset_in_record);
-  Status status = WriteAll(log_fd_, record);
-  if (!status.ok()) {
-    // A short write can leave a partial record in the page cache; every
-    // later append would then land after garbage.
-    read_only_.store(true, std::memory_order_relaxed);
-    return status;
-  }
-  if (value_offset) *value_offset = log_bytes_ + offset_in_record;
+  const std::string record =
+      logrec::Encode(type, partition_, key, value, &offset_in_record);
+  std::uint64_t start = 0;
+  std::uint64_t token = 0;
+  Status status = log_->Append(record, &start, &token);
+  if (commit_token) *commit_token = token;
+  if (!status.ok()) return status;
+  if (value_offset) *value_offset = start + offset_in_record;
   log_bytes_ += record.size();
-  switch (options_.durability) {
-    case DurabilityMode::kNone:
-      break;
-    case DurabilityMode::kEveryOp: {
-      const Stopwatch watch(SystemClock::Instance());
-      if (SyncFd(log_fd_) != 0) return FailSync("log fsync");
-      fsync_micros_.Record(watch.Elapsed() / kNanosPerMicro);
-      break;
-    }
-    case DurabilityMode::kGroupCommit: {
-      {
-        std::lock_guard<std::mutex> commit_lock(commit_mu_);
-        ++appended_seq_;
-        ++pending_ops_;
-        if (commit_token) *commit_token = appended_seq_;
-      }
-      // Notify outside the lock: a sleeping flusher wakes straight into an
-      // uncontended commit_mu_.
-      flusher_cv_.notify_one();
-      break;
-    }
-  }
+  dirty_ = true;
   return Status::Ok();
 }
 
-void NoVoHT::FlusherLoop() {
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  for (;;) {
-    flusher_cv_.wait(lock, [&] {
-      return stop_flusher_ || (!sync_failed_ && appended_seq_ > durable_seq_);
-    });
-    if (sync_failed_ || appended_seq_ <= durable_seq_) {
-      if (stop_flusher_) return;
-      continue;
-    }
-    // Commit window: give concurrent writers a chance to join this fsync.
-    if (options_.max_commit_latency > 0 && !stop_flusher_) {
-      flusher_cv_.wait_for(
-          lock, std::chrono::nanoseconds(options_.max_commit_latency),
-          [&] { return stop_flusher_; });
-    }
-    const std::uint64_t target = appended_seq_;
-    const std::uint64_t batch = pending_ops_;
-    pending_ops_ = 0;
-    // log_fd_ is stable here: compaction drains the pipeline (under
-    // commit_mu_) before swapping fds.
-    const int fd = log_fd_;
-    lock.unlock();
-    const Stopwatch watch(SystemClock::Instance());
-    const int rc = SyncFd(fd);
-    const Nanos elapsed = watch.Elapsed();
-    lock.lock();
-    fsync_micros_.Record(elapsed / kNanosPerMicro);
-    if (rc != 0) {
-      fsync_errors_.fetch_add(1, std::memory_order_relaxed);
-      read_only_.store(true, std::memory_order_relaxed);
-      sync_failed_ = true;
-    } else {
-      durable_seq_ = target;
-      group_commit_batch_.Record(static_cast<std::int64_t>(batch));
-      ++group_commits_;
-    }
-    const bool stopping = stop_flusher_;
-    std::vector<DurableWaiter> ready = TakeReadyWaitersLocked();
-    // Notify with the lock released so the (up to batch-many) woken
-    // writers reacquire commit_mu_ without contending with this thread.
-    lock.unlock();
-    commit_cv_.notify_all();
-    // Parked asynchronous acks fire here, on the flusher thread, covering
-    // everything this fsync made durable (or everything, on failure).
-    const Status outcome =
-        rc == 0 ? Status::Ok()
-                : Status(StatusCode::kInternal,
-                         "log fsync failed; store is read-only");
-    for (DurableWaiter& waiter : ready) waiter.done(outcome);
-    if (stopping) return;
-    lock.lock();
+void NoVoHT::AddDead(std::uint64_t bytes) {
+  dead_bytes_ += bytes;
+  if (shared_ && bytes != 0) {
+    shared_->garbage_.fetch_add(bytes, std::memory_order_relaxed);
   }
-}
-
-std::vector<NoVoHT::DurableWaiter> NoVoHT::TakeReadyWaitersLocked() {
-  std::vector<DurableWaiter> ready;
-  if (durable_waiters_.empty()) return ready;
-  if (sync_failed_) {
-    ready.swap(durable_waiters_);
-    return ready;
-  }
-  auto split = std::partition(
-      durable_waiters_.begin(), durable_waiters_.end(),
-      [this](const DurableWaiter& w) { return w.token > durable_seq_; });
-  ready.assign(std::make_move_iterator(split),
-               std::make_move_iterator(durable_waiters_.end()));
-  durable_waiters_.erase(split, durable_waiters_.end());
-  return ready;
 }
 
 void NoVoHT::NotifyDurable(std::uint64_t token,
                            std::function<void(Status)> done) {
-  if (token == 0 || options_.durability != DurabilityMode::kGroupCommit ||
-      !flusher_.joinable()) {
+  if (!log_) {
     done(Status::Ok());
     return;
   }
-  {
-    std::unique_lock<std::mutex> lock(commit_mu_);
-    if (sync_failed_) {
-      lock.unlock();
-      done(Status(StatusCode::kInternal,
-                  "log fsync failed; store is read-only"));
-      return;
-    }
-    if (durable_seq_ < token) {
-      durable_waiters_.push_back({token, std::move(done)});
-      return;
-    }
-  }
-  done(Status::Ok());
+  log_->NotifyDurable(token, std::move(done));
 }
 
 std::uint64_t NoVoHT::last_commit_token() const {
-  if (options_.durability != DurabilityMode::kGroupCommit) return 0;
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  return appended_seq_;
+  return log_ ? log_->last_token() : 0;
 }
 
 Status NoVoHT::WaitDurable(std::uint64_t token) {
-  if (token == 0 || options_.durability != DurabilityMode::kGroupCommit ||
-      !flusher_.joinable()) {
-    return Status::Ok();
-  }
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  commit_cv_.wait(lock, [&] { return durable_seq_ >= token || sync_failed_; });
-  if (durable_seq_ >= token) return Status::Ok();
-  return Status(StatusCode::kInternal,
-                "log fsync failed; store is read-only");
+  return log_ ? log_->WaitDurable(token) : Status::Ok();
 }
 
 Status NoVoHT::MaybeWaitDurable(std::uint64_t token) {
@@ -616,28 +286,9 @@ Status NoVoHT::MaybeWaitDurable(std::uint64_t token) {
   return WaitDurable(token);
 }
 
-Status NoVoHT::DrainCommitsLocked() {
-  if (!flusher_.joinable()) return Status::Ok();
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  flusher_cv_.notify_one();
-  commit_cv_.wait(lock,
-                  [&] { return durable_seq_ >= appended_seq_ || sync_failed_; });
-  if (sync_failed_) {
-    return Status(StatusCode::kInternal,
-                  "log fsync failed; store is read-only");
-  }
-  return Status::Ok();
-}
-
 bool NoVoHT::durability_metrics(StoreDurabilityMetrics* out) const {
-  if (options_.path.empty()) return false;
-  out->group_commit_batch = group_commit_batch_.Snapshot();
-  out->fsync_micros = fsync_micros_.Snapshot();
-  out->fsync_errors = fsync_errors_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    out->group_commits = group_commits_;
-  }
+  if (!log_) return false;
+  log_->Metrics(out);
   return true;
 }
 
@@ -675,7 +326,7 @@ Status NoVoHT::EnsureResident(Node* node) {
 }
 
 void NoVoHT::MaybeEvict(const Node* keep) {
-  if (options_.max_resident_values == 0 || log_fd_ < 0) return;
+  if (options_.max_resident_values == 0 || !own_log_) return;
   std::uint64_t guard = buckets_.size() + 1;
   while (resident_values_ > options_.max_resident_values && guard-- > 0) {
     Node* head = buckets_[evict_cursor_ % buckets_.size()];
@@ -687,13 +338,13 @@ void NoVoHT::MaybeEvict(const Node* keep) {
         // exists, then evict.
         std::uint64_t offset = 0;
         Status status =
-            AppendLogRecord(kRecPut, node->key, node->value, &offset);
+            AppendLogRecord(logrec::kPut, node->key, node->value, &offset);
         if (!status.ok()) {
           ZHT_WARN << "NoVoHT: cannot re-log for eviction: "
                    << status.ToString();
           continue;
         }
-        dead_bytes_ += RecordBytes(node->key, node->value);
+        AddDead(RecordBytes(node->key, node->value));
         node->log_offset = offset;
         node->offset_valid = true;
       }
@@ -716,7 +367,7 @@ Status NoVoHT::Put(std::string_view key, std::string_view value) {
   std::uint64_t commit = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (read_only_.load(std::memory_order_relaxed)) {
+    if (ReadOnly()) {
       return Status(StatusCode::kInternal,
                     "NoVoHT is read-only after a failed fsync");
     }
@@ -725,11 +376,11 @@ Status NoVoHT::Put(std::string_view key, std::string_view value) {
       return Status(StatusCode::kCapacity, "NoVoHT entry cap reached");
     }
     std::uint64_t offset = 0;
-    Status status = AppendLogRecord(kRecPut, key, value, &offset, &commit);
+    Status status = AppendLogRecord(logrec::kPut, key, value, &offset, &commit);
     if (!status.ok()) return status;
-    dead_bytes_ += ApplyPut(key, value);
+    AddDead(ApplyPut(key, value));
     Node* node = FindNode(key);
-    if (node && log_fd_ >= 0) {
+    if (node && own_log_) {
       node->log_offset = offset;
       node->offset_valid = true;
     }
@@ -756,7 +407,7 @@ Status NoVoHT::Remove(std::string_view key) {
   std::uint64_t commit = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (read_only_.load(std::memory_order_relaxed)) {
+    if (ReadOnly()) {
       return Status(StatusCode::kInternal,
                     "NoVoHT is read-only after a failed fsync");
     }
@@ -764,9 +415,9 @@ Status NoVoHT::Remove(std::string_view key) {
     // Log first (WAL discipline), then apply; logging a remove of a missing
     // key would pollute the log, so probe first.
     if (FindNode(key) == nullptr) return Status(StatusCode::kNotFound);
-    Status status = AppendLogRecord(kRecRemove, key, "", nullptr, &commit);
+    Status status = AppendLogRecord(logrec::kRemove, key, "", nullptr, &commit);
     if (!status.ok()) return status;
-    dead_bytes_ += ApplyRemove(key, &found);
+    AddDead(ApplyRemove(key, &found));
     status = MaybeGc();
     if (!status.ok()) return status;
   }
@@ -777,7 +428,7 @@ Status NoVoHT::Append(std::string_view key, std::string_view value) {
   std::uint64_t commit = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (read_only_.load(std::memory_order_relaxed)) {
+    if (ReadOnly()) {
       return Status(StatusCode::kInternal,
                     "NoVoHT is read-only after a failed fsync");
     }
@@ -790,7 +441,8 @@ Status NoVoHT::Append(std::string_view key, std::string_view value) {
       Status status = EnsureResident(node);
       if (!status.ok()) return status;
     }
-    Status status = AppendLogRecord(kRecAppend, key, value, nullptr, &commit);
+    Status status =
+        AppendLogRecord(logrec::kAppend, key, value, nullptr, &commit);
     if (!status.ok()) return status;
     ApplyAppend(key, value);
     MaybeEvict(FindNode(key));
@@ -821,7 +473,11 @@ void NoVoHT::ForEach(
 }
 
 Status NoVoHT::MaybeGc() {
-  if (log_fd_ < 0) return Status::Ok();
+  if (!log_) return Status::Ok();
+  if (shared_) {
+    shared_->MaybeRequestGc();
+    return Status::Ok();
+  }
   if (log_bytes_ < options_.gc_min_log_bytes) return Status::Ok();
   if (static_cast<double>(dead_bytes_) <
       options_.gc_garbage_ratio * static_cast<double>(log_bytes_)) {
@@ -832,12 +488,13 @@ Status NoVoHT::MaybeGc() {
 
 Status NoVoHT::Compact() {
   std::lock_guard<std::mutex> lock(mu_);
+  if (shared_) return shared_->CheckpointLocked(*this);
   return CompactLocked();
 }
 
 Status NoVoHT::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (read_only_.load(std::memory_order_relaxed)) {
+  if (ReadOnly()) {
     return Status(StatusCode::kInternal, "store is read-only");
   }
   for (Node*& head : buckets_) {
@@ -850,26 +507,23 @@ Status NoVoHT::Clear() {
   }
   entries_ = 0;
   resident_values_ = 0;
-  // Checkpointing the empty table truncates the log and resets the byte
-  // accounting, so a crash after Clear() recovers an empty store too.
+  // A durable checkpoint of the empty table, before returning: a crash or
+  // a restart after Clear() recovers an empty store too.
+  if (shared_) return shared_->CheckpointLocked(*this);
   return CompactLocked();
 }
 
-Status NoVoHT::CompactLocked() {
-  if (options_.path.empty()) return Status::Ok();
-  // Quiesce the group-commit flusher: it must not be fdatasync'ing log_fd_
-  // while we swap it for the compacted file.
-  Status drained = DrainCommitsLocked();
-  if (!drained.ok()) return drained;
-  const Stopwatch watch(SystemClock::Instance());
-  std::string tmp = options_.path + ".compact";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status(StatusCode::kInternal, "cannot open compaction file");
-  }
+Status NoVoHT::WriteSnapshot(
+    const std::string& path, std::uint64_t horizon, PendingFile* out,
+    std::vector<std::pair<Node*, std::uint64_t>>* offsets,
+    std::uint64_t* bytes) const {
+  Status failure = CreatePendingFile(path, out);
+  if (!failure.ok()) return failure;
   std::string batch;
-  std::uint64_t new_log_bytes = 0;
-  Status failure;
+  std::uint64_t written = 0;
+  if (horizon != 0) {
+    batch = logrec::Encode(logrec::kHorizon, 0, "", logrec::EncodeU64(horizon));
+  }
   for (Node* head : buckets_) {
     for (Node* node = head; node; node = node->next) {
       std::string loaded;
@@ -877,7 +531,7 @@ Status NoVoHT::CompactLocked() {
       if (node->resident) {
         value = node->value;
       } else {
-        auto disk = LoadValue(*node);  // old read_fd_ stays valid
+        auto disk = LoadValue(*node);  // the old read_fd_ stays valid
         if (!disk.ok()) {
           failure = disk.status();
           break;
@@ -886,55 +540,56 @@ Status NoVoHT::CompactLocked() {
         value = loaded;
       }
       std::size_t offset_in_record = 0;
-      std::string record =
-          EncodeRecord(kRecPut, node->key, value, &offset_in_record);
-      node->log_offset = new_log_bytes + batch.size() + offset_in_record;
-      node->offset_valid = true;
+      const std::string record =
+          logrec::Encode(logrec::kPut, 0, node->key, value, &offset_in_record);
+      if (offsets) {
+        offsets->emplace_back(node, written + batch.size() + offset_in_record);
+      }
       batch += record;
       if (batch.size() > (1u << 20)) {
-        Status status = WriteAll(fd, batch);
-        if (!status.ok()) {
-          failure = status;
-          break;
-        }
-        new_log_bytes += batch.size();
+        failure = WritePendingFile(*out, batch);
+        if (!failure.ok()) break;
+        written += batch.size();
         batch.clear();
       }
     }
     if (!failure.ok()) break;
   }
   if (failure.ok() && !batch.empty()) {
-    Status status = WriteAll(fd, batch);
-    if (!status.ok()) failure = status;
-    new_log_bytes += batch.size();
+    failure = WritePendingFile(*out, batch);
+    written += batch.size();
   }
   if (!failure.ok()) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
+    DropPendingFile(out);
     return failure;
   }
-  if (SyncFd(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return FailSync("checkpoint fsync");
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), options_.path.c_str()) != 0) {
-    // Node offsets were already rewritten against the new file; the store
-    // can no longer trust its log bookkeeping.
+  if (bytes) *bytes = written;
+  return Status::Ok();
+}
+
+Status NoVoHT::CompactLocked() {
+  if (!own_log_) return Status::Ok();
+  // Everything appended so far becomes durable first, so no parked commit
+  // is left behind on the log file being replaced.
+  Status drained = log_->Sync();
+  if (!drained.ok()) return drained;
+  const Stopwatch watch(SystemClock::Instance());
+  std::vector<PendingFile> files(1);
+  std::vector<std::pair<Node*, std::uint64_t>> offsets;
+  std::uint64_t new_log_bytes = 0;
+  Status status =
+      WriteSnapshot(options_.path, 0, &files[0], &offsets, &new_log_bytes);
+  if (!status.ok()) return status;
+  status = InstallFiles(&files, options_.fsync_hook);
+  if (!status.ok()) return log_->Fail("checkpoint install");
+  status = log_->Reopen();
+  if (!status.ok()) {
     read_only_.store(true, std::memory_order_relaxed);
-    return Status(StatusCode::kInternal, "compaction rename failed");
+    return status;
   }
-  {
-    // The flusher reads log_fd_ under commit_mu_; it is idle (drained
-    // above, and mu_ blocks new appends), so this is uncontended.
-    std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    if (log_fd_ >= 0) ::close(log_fd_);
-    log_fd_ = ::open(options_.path.c_str(), O_WRONLY | O_APPEND, 0644);
-  }
-  if (log_fd_ < 0) {
-    read_only_.store(true, std::memory_order_relaxed);
-    return Status(StatusCode::kInternal, "cannot reopen compacted log");
+  for (const auto& [node, offset] : offsets) {
+    node->log_offset = offset;
+    node->offset_valid = true;
   }
   if (read_fd_ >= 0) ::close(read_fd_);
   read_fd_ = ::open(options_.path.c_str(), O_RDONLY);
@@ -949,6 +604,14 @@ Status NoVoHT::CompactLocked() {
   gc_duration_ns_.Record(elapsed);
   gc_nanos_total_ += static_cast<std::uint64_t>(elapsed);
   return Status::Ok();
+}
+
+void NoVoHT::TakeTable(NoVoHT* from) {
+  buckets_.swap(from->buckets_);
+  std::swap(entries_, from->entries_);
+  std::swap(resident_values_, from->resident_values_);
+  std::swap(log_bytes_, from->log_bytes_);
+  std::swap(dead_bytes_, from->dead_bytes_);
 }
 
 NoVoHTStats NoVoHT::stats() const {
@@ -966,13 +629,360 @@ NoVoHTStats NoVoHT::stats() const {
   s.disk_reads = disk_reads_;
   s.live_bytes = log_bytes_ - dead_bytes_;
   s.gc_nanos_total = gc_nanos_total_;
-  s.fsync_errors = fsync_errors_.load(std::memory_order_relaxed);
-  s.read_only = read_only_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    s.group_commits = group_commits_;
-  }
+  s.fsync_errors = log_ ? log_->fsync_errors() : 0;
+  s.group_commits = log_ ? log_->group_commits() : 0;
+  s.read_only = ReadOnly();
   return s;
+}
+
+// ---------------------------------------------------------------------------
+// NoVoHTInstanceLog
+// ---------------------------------------------------------------------------
+
+NoVoHTInstanceLog::NoVoHTInstanceLog(std::string log_path,
+                                     std::string checkpoint_prefix,
+                                     const NoVoHTOptions& options,
+                                     std::function<void()> on_closed)
+    : log_path_(std::move(log_path)),
+      checkpoint_prefix_(std::move(checkpoint_prefix)),
+      options_(options),
+      on_closed_(std::move(on_closed)) {}
+
+Result<std::shared_ptr<NoVoHTInstanceLog>> NoVoHTInstanceLog::Open(
+    std::string log_path, std::string checkpoint_prefix,
+    const NoVoHTOptions& options, std::function<void()> on_closed) {
+  if (options.max_resident_values != 0) {
+    return Status(StatusCode::kInvalidArgument,
+                  "max_resident_values needs a store's own log");
+  }
+  std::shared_ptr<NoVoHTInstanceLog> log(
+      new NoVoHTInstanceLog(std::move(log_path), std::move(checkpoint_prefix),
+                            options, std::move(on_closed)));
+  std::uint64_t valid_end = 0;
+  Status status = log->Recover(&valid_end);
+  if (!status.ok()) return status;
+  // New records must sort past every checkpoint's horizon, or the next
+  // recovery would take them for records the checkpoint already holds.
+  std::uint64_t floor = 0;
+  status = log->MaxCheckpointHorizon(&floor);
+  if (!status.ok()) return status;
+  if (valid_end == 0 || floor > log->Position(valid_end)) {
+    // A new log, one torn inside its base record, or one that ends before
+    // a checkpoint's horizon: checkpoint what it holds and start it over
+    // past every horizon, durably, before anything is appended behind it.
+    status = log->RestartLog(std::max(floor, log->Position(valid_end)));
+    if (!status.ok()) return status;
+  } else {
+    struct stat st;
+    if (::stat(log->log_path_.c_str(), &st) == 0 &&
+        valid_end < static_cast<std::uint64_t>(st.st_size)) {
+      if (::truncate(log->log_path_.c_str(),
+                     static_cast<off_t>(valid_end)) != 0) {
+        return Status(StatusCode::kInternal, "cannot truncate torn log tail");
+      }
+      ZHT_WARN << "NoVoHT: trimmed torn instance-log tail at byte "
+               << valid_end;
+    }
+  }
+  auto opened = CommitLog::Open(
+      log->log_path_,
+      CommitLogOptions{options.durability, options.max_commit_latency,
+                       options.fsync_hook},
+      [raw = log.get()] { raw->CheckpointAll(); });
+  if (!opened.ok()) return opened.status();
+  log->log_ = std::move(*opened);
+  return log;
+}
+
+NoVoHTInstanceLog::~NoVoHTInstanceLog() {
+  if (!log_) return;  // never finished opening
+  // No maintenance may race the close.
+  log_->StopFlusher();
+  if (!log_->failed()) {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    Status status = CheckpointAllLocked();
+    if (!status.ok()) {
+      ZHT_WARN << "NoVoHT: checkpoint at close of " << log_path_
+               << " failed: " << status.ToString();
+    }
+  }
+  log_.reset();
+  if (on_closed_) on_closed_();
+}
+
+std::string NoVoHTInstanceLog::CheckpointPath(std::uint64_t partition) const {
+  return checkpoint_prefix_ + std::to_string(partition) + ".novoht";
+}
+
+Status NoVoHTInstanceLog::Recover(std::uint64_t* valid_end) {
+  struct Scanned {
+    std::unique_ptr<NoVoHT> table;
+    std::uint64_t horizon = 0;
+    bool applied = false;
+  };
+  std::map<std::uint64_t, Scanned> scanned;
+  bool header = true;
+  Status status = logrec::Scan(
+      log_path_, options_.recover_buffer_bytes,
+      [&](const logrec::Record& record) -> Status {
+        if (header) {
+          header = false;
+          if (record.partitioned || record.type != logrec::kLogBase) {
+            return Status(StatusCode::kCorruption,
+                          "instance log does not start with its base");
+          }
+          base_ = logrec::DecodeU64(record.value);
+          header_bytes_ = record.size;
+          return Status::Ok();
+        }
+        if (!record.partitioned) {
+          return Status(StatusCode::kCorruption,
+                        "untagged record in an instance log");
+        }
+        Scanned& entry = scanned[record.partition];
+        if (!entry.table) {
+          auto loaded = LoadCheckpoint(record.partition, &entry.horizon);
+          if (!loaded.ok()) return loaded.status();
+          entry.table = std::move(*loaded);
+        }
+        // The checkpoint already holds every record before its horizon.
+        if (Position(record.offset) < entry.horizon) return Status::Ok();
+        Status applied = entry.table->ApplyRecord(record);
+        if (!applied.ok()) return applied;
+        ++entry.table->recovered_records_;
+        entry.table->log_bytes_ += record.size;
+        entry.applied = true;
+        return Status::Ok();
+      },
+      valid_end);
+  if (!status.ok()) return status;
+  for (auto& [partition, entry] : scanned) {
+    if (entry.applied) parked_[partition] = std::move(entry.table);
+  }
+  return Status::Ok();
+}
+
+Result<std::unique_ptr<NoVoHT>> NoVoHTInstanceLog::LoadCheckpoint(
+    std::uint64_t partition, std::uint64_t* horizon) const {
+  NoVoHTOptions in_memory = options_;
+  in_memory.path.clear();
+  std::unique_ptr<NoVoHT> table(new NoVoHT(in_memory));
+  table->partition_ = partition;
+  Status status = table->Replay(CheckpointPath(partition), false, horizon);
+  if (!status.ok()) return status;
+  table->log_bytes_ = 0;
+  table->dead_bytes_ = 0;
+  return table;
+}
+
+Status NoVoHTInstanceLog::MaxCheckpointHorizon(std::uint64_t* max) const {
+  *max = 0;
+  const std::size_t slash = checkpoint_prefix_.rfind('/');
+  const std::string dir = slash == std::string::npos
+                              ? "."
+                              : checkpoint_prefix_.substr(0, slash + 1);
+  const std::string stem = slash == std::string::npos
+                               ? checkpoint_prefix_
+                               : checkpoint_prefix_.substr(slash + 1);
+  DIR* listing = ::opendir(dir.c_str());
+  if (listing == nullptr) {
+    if (errno == ENOENT) return Status::Ok();
+    return Status(StatusCode::kInternal, "cannot list " + dir);
+  }
+  constexpr std::string_view kSuffix = ".novoht";
+  while (const dirent* entry = ::readdir(listing)) {
+    const std::string_view name(entry->d_name);
+    if (name.size() <= stem.size() + kSuffix.size() ||
+        name.compare(0, stem.size(), stem) != 0 ||
+        name.compare(name.size() - kSuffix.size(), kSuffix.size(),
+                     kSuffix) != 0) {
+      continue;
+    }
+    const std::string_view partition = name.substr(
+        stem.size(), name.size() - stem.size() - kSuffix.size());
+    if (partition.find_first_not_of("0123456789") != std::string_view::npos) {
+      continue;
+    }
+    *max = std::max(*max, logrec::LeadingHorizon(dir + std::string(name)));
+  }
+  ::closedir(listing);
+  return Status::Ok();
+}
+
+Result<std::unique_ptr<NoVoHT>> NoVoHTInstanceLog::OpenPartition(
+    std::uint64_t partition) {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  std::unique_ptr<NoVoHT> store;
+  bool dirty = false;
+  auto parked = parked_.find(partition);
+  if (parked != parked_.end()) {
+    store = std::move(parked->second);
+    parked_.erase(parked);
+    dirty = true;
+  } else {
+    std::uint64_t horizon = 0;
+    auto loaded = LoadCheckpoint(partition, &horizon);
+    if (!loaded.ok()) return loaded.status();
+    store = std::move(*loaded);
+  }
+  store->options_ = options_;
+  store->options_.path = CheckpointPath(partition);
+  store->log_ = log_.get();
+  store->shared_ = shared_from_this();
+  store->partition_ = partition;
+  store->dirty_ = dirty;
+  open_[partition] = store.get();
+  open_count_.fetch_add(1, std::memory_order_relaxed);
+  return store;
+}
+
+void NoVoHTInstanceLog::Detach(NoVoHT* store) {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  auto it = open_.find(store->partition_);
+  if (it == open_.end() || it->second != store) return;
+  open_.erase(it);
+  open_count_.fetch_sub(1, std::memory_order_relaxed);
+  if (!store->dirty_) return;
+  // Its records stay in the log until the next checkpoint of everything,
+  // which needs the table: park it.
+  NoVoHTOptions in_memory = options_;
+  in_memory.path.clear();
+  std::unique_ptr<NoVoHT> table(new NoVoHT(in_memory));
+  table->partition_ = store->partition_;
+  table->TakeTable(store);
+  parked_[store->partition_] = std::move(table);
+}
+
+void NoVoHTInstanceLog::MaybeRequestGc() {
+  // The instance log may grow as far as the per-store logs it replaces
+  // could have together before the GC policy looks at garbage.
+  const std::uint64_t size = log_->size();
+  const std::uint64_t stores =
+      std::max<std::size_t>(1, open_count_.load(std::memory_order_relaxed));
+  if (size < options_.gc_min_log_bytes * stores) return;
+  if (static_cast<double>(garbage_.load(std::memory_order_relaxed)) <
+      options_.gc_garbage_ratio * static_cast<double>(size)) {
+    return;
+  }
+  log_->RequestMaintenance();
+}
+
+Status NoVoHTInstanceLog::WriteCheckpoints(
+    const std::vector<std::pair<std::uint64_t, const NoVoHT*>>& tables,
+    std::uint64_t horizon) {
+  for (std::size_t begin = 0; begin < tables.size();
+       begin += kCheckpointBatch) {
+    const std::size_t end = std::min(tables.size(), begin + kCheckpointBatch);
+    std::vector<PendingFile> files;
+    files.reserve(end - begin);
+    Status status;
+    for (std::size_t i = begin; i < end && status.ok(); ++i) {
+      PendingFile file;
+      status = tables[i].second->WriteSnapshot(CheckpointPath(tables[i].first),
+                                               horizon, &file, nullptr,
+                                               nullptr);
+      if (status.ok()) files.push_back(std::move(file));
+    }
+    if (!status.ok()) {
+      for (PendingFile& file : files) DropPendingFile(&file);
+      return status;
+    }
+    status = InstallFiles(&files, options_.fsync_hook);
+    if (!status.ok()) return log_ ? log_->Fail("checkpoint install") : status;
+  }
+  return Status::Ok();
+}
+
+Status NoVoHTInstanceLog::ReplaceLog(std::uint64_t base) {
+  std::vector<PendingFile> files(1);
+  Status status = CreatePendingFile(log_path_, &files[0]);
+  if (!status.ok()) return status;
+  const std::string record =
+      logrec::Encode(logrec::kLogBase, 0, "", logrec::EncodeU64(base));
+  status = WritePendingFile(files[0], record);
+  if (!status.ok()) {
+    DropPendingFile(&files[0]);
+    return status;
+  }
+  status = InstallFiles(&files, options_.fsync_hook);
+  if (!status.ok()) {
+    if (log_) return log_->Fail("log install");
+    return status;
+  }
+  base_ = base;
+  header_bytes_ = record.size();
+  return log_ ? log_->Reopen() : Status::Ok();
+}
+
+Status NoVoHTInstanceLog::RestartLog(std::uint64_t base) {
+  std::vector<std::pair<std::uint64_t, const NoVoHT*>> tables;
+  for (const auto& [partition, table] : parked_) {
+    tables.emplace_back(partition, table.get());
+  }
+  Status status = WriteCheckpoints(tables, base);
+  if (!status.ok()) return status;
+  parked_.clear();
+  return ReplaceLog(base);
+}
+
+Status NoVoHTInstanceLog::CheckpointLocked(NoVoHT& store) {
+  const Stopwatch watch(SystemClock::Instance());
+  // The horizon must never pass the durable end of the log: a torn tail
+  // trimmed below it would hand its positions to later records.
+  std::uint64_t covered = 0;
+  Status status = log_->Sync(&covered);
+  if (!status.ok()) return status;
+  status = WriteCheckpoints({{store.partition_, &store}}, Position(covered));
+  if (!status.ok()) return status;
+  store.dirty_ = false;
+  store.log_bytes_ = 0;
+  store.dead_bytes_ = 0;
+  ++store.gc_runs_;
+  const Nanos elapsed = watch.Elapsed();
+  store.gc_duration_ns_.Record(elapsed);
+  store.gc_nanos_total_ += static_cast<std::uint64_t>(elapsed);
+  return Status::Ok();
+}
+
+Status NoVoHTInstanceLog::CheckpointAllLocked() {
+  std::vector<std::pair<std::uint64_t, const NoVoHT*>> tables;
+  for (const auto& [partition, store] : open_) {
+    if (store->dirty_) tables.emplace_back(partition, store);
+  }
+  for (const auto& [partition, table] : parked_) {
+    tables.emplace_back(partition, table.get());
+  }
+  if (tables.empty() && log_->size() <= header_bytes_) return Status::Ok();
+  std::uint64_t covered = 0;
+  Status status = log_->Sync(&covered);
+  if (!status.ok()) return status;
+  const std::uint64_t horizon = Position(covered);
+  status = WriteCheckpoints(tables, horizon);
+  if (!status.ok()) return status;
+  for (const auto& [partition, store] : open_) {
+    store->dirty_ = false;
+    store->log_bytes_ = 0;
+    store->dead_bytes_ = 0;
+  }
+  parked_.clear();
+  // Every record is now inside a checkpoint: start the log over at the
+  // horizon, so later records sort after every checkpoint.
+  status = ReplaceLog(horizon);
+  if (!status.ok()) return status;
+  garbage_.store(0, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+void NoVoHTInstanceLog::CheckpointAll() {
+  std::lock_guard<std::mutex> registry(registry_mu_);
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(open_.size());
+  for (const auto& [partition, store] : open_) locks.emplace_back(store->mu_);
+  Status status = CheckpointAllLocked();
+  if (!status.ok()) {
+    ZHT_WARN << "NoVoHT: checkpoint of " << log_path_
+             << " failed: " << status.ToString();
+  }
 }
 
 }  // namespace zht

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -392,6 +395,38 @@ TEST_F(NoVoHTTest, GroupCommitSurvivesCompaction) {
   ASSERT_TRUE((*store)->Put("post", "compact").ok());
   EXPECT_TRUE((*store)->WaitDurable((*store)->last_commit_token()).ok());
   EXPECT_EQ((*store)->Get("post").value(), "compact");
+}
+
+// A checkpoint's rename is durable only once its directory is synced: a
+// crash could otherwise bring back the log the checkpoint replaced (for
+// Clear(), the cleared pairs) and lose writes acked into the new file.
+TEST_F(NoVoHTTest, CheckpointRenameSyncsItsDirectory) {
+  NoVoHTOptions options;
+  options.path = Path("dirsync.nvt");
+  options.durability = DurabilityMode::kGroupCommit;
+  struct Sync {
+    bool directory;
+    bool renamed;  // the checkpoint file had replaced the log by then
+  };
+  std::vector<Sync> syncs;
+  const std::string tmp = options.path + ".tmp";
+  options.fsync_hook = [&syncs, tmp](int fd) {
+    struct stat st;
+    const bool directory = ::fstat(fd, &st) == 0 && S_ISDIR(st.st_mode);
+    syncs.push_back({directory, !fs::exists(tmp)});
+    return ::fsync(fd);
+  };
+  auto store = NoVoHT::Open(options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Put("gone", "soon").ok());
+  for (bool clear : {false, true}) {
+    syncs.clear();
+    ASSERT_TRUE((clear ? (*store)->Clear() : (*store)->Compact()).ok());
+    ASSERT_FALSE(syncs.empty());
+    EXPECT_TRUE(syncs.back().directory) << (clear ? "Clear" : "Compact");
+    EXPECT_TRUE(syncs.back().renamed) << (clear ? "Clear" : "Compact");
+  }
+  EXPECT_EQ((*store)->Size(), 0u);
 }
 
 // Satellite 2 regression: damage to a *length field* mid-log must be

@@ -2,14 +2,22 @@
 // directly, without a cluster harness: ownership checks and REDIRECT
 // payloads, epoch piggybacking, MIGRATING responses, replica traffic,
 // membership pull/push, the partition transfer, and the append dedup
-// window. PersistentTransferTest runs the transfer on persistent stores
-// (ctest label `recovery`).
+// window. PersistentTransferTest runs the transfer on persistent stores,
+// InstanceLogServerTest runs servers on the shared instance log and
+// TransferStreamTest cancels a stream whose Begin failed (ctest label
+// `recovery`).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <thread>
 
 #include "core/zht_server.h"
 #include "net/loopback.h"
+#include "novoht/novoht.h"
 #include "serialize/metrics_codec.h"
 
 namespace zht {
@@ -507,6 +515,229 @@ TEST_F(PersistentTransferTest, RepairsLeaveNoLandingStoreOpen) {
   }
   EXPECT_EQ(owner.stats().rebuilds_completed, partitions.size());
   EXPECT_EQ(OpenFds(), fds_before);
+}
+
+// Servers whose partition stores share one instance log
+// (MakeNoVoHTStoreFactory): restart, thread count and telemetry.
+class InstanceLogServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::path(::testing::TempDir()) /
+           ("zht_instance_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    transport_ = std::make_unique<LoopbackTransport>(&network_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  // A single-instance group-commit server over `partitions` partitions.
+  std::unique_ptr<ZhtServer> Start(PartitionId partitions,
+                                   StoreFactory factory = nullptr) {
+    table_ = MembershipTable::CreateUniform(
+        partitions, {NodeAddress{"10.0.0.1", 50000}});
+    ZhtServerOptions options;
+    options.self = 0;
+    options.cluster.durability = DurabilityMode::kGroupCommit;
+    options.store_factory =
+        factory ? std::move(factory)
+                : MakeNoVoHTStoreFactory(dir_.string(), options.cluster);
+    return std::make_unique<ZhtServer>(table_, options, transport_.get());
+  }
+
+  // One key per partition, found by brute force.
+  std::vector<std::string> KeyPerPartition() const {
+    std::vector<std::string> keys(table_.num_partitions());
+    std::size_t found = 0;
+    for (int i = 0; found < keys.size() && i < 1000000; ++i) {
+      std::string key = "ik-" + std::to_string(i);
+      std::string& slot = keys[table_.PartitionOfKey(key)];
+      if (slot.empty()) {
+        slot = std::move(key);
+        ++found;
+      }
+    }
+    EXPECT_EQ(found, keys.size());
+    return keys;
+  }
+
+  Request Op(OpCode op, const std::string& key, const std::string& value) {
+    Request request;
+    request.op = op;
+    request.seq = ++seq_;
+    request.key = key;
+    request.value = value;
+    request.epoch = table_.epoch();
+    return request;
+  }
+
+  static std::size_t Threads() {
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto& entry :
+         fs::directory_iterator("/proc/self/task")) {
+      ++count;
+    }
+    return count;
+  }
+
+  fs::path dir_;
+  MembershipTable table_;
+  LoopbackNetwork network_;
+  std::unique_ptr<LoopbackTransport> transport_;
+  std::uint64_t seq_ = 0;
+};
+
+TEST_F(InstanceLogServerTest, RestartRecoversIdenticalStateFromCheckpoints) {
+  constexpr PartitionId kParts = 16;
+  std::vector<std::vector<std::pair<std::string, std::string>>> before;
+  {
+    auto server = Start(kParts);
+    for (int i = 0; i < 200; ++i) {
+      const std::string key = "rk-" + std::to_string(i % 60);
+      const OpCode op = i % 7 == 3   ? OpCode::kRemove
+                        : i % 5 == 1 ? OpCode::kAppend
+                                     : OpCode::kInsert;
+      const Response resp = server->Handle(Op(op, key, std::to_string(i)));
+      ASSERT_TRUE(resp.ok() ||
+                  resp.status_as_object().code() == StatusCode::kNotFound);
+    }
+    for (PartitionId p = 0; p < kParts; ++p) {
+      before.push_back(server->PartitionPairs(p));
+    }
+  }  // the server and its factory close: every partition checkpointed
+
+  // Every checkpoint opens standalone and holds its partition's pairs.
+  for (PartitionId p = 0; p < kParts; ++p) {
+    if (before[p].empty()) continue;
+    NoVoHTOptions standalone;
+    standalone.path =
+        (dir_ / ("i0_p" + std::to_string(p) + ".novoht")).string();
+    auto store = NoVoHT::Open(standalone);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->Size(), before[p].size()) << "partition " << p;
+    for (const auto& [key, value] : before[p]) {
+      EXPECT_EQ((*store)->Get(key).value(), value);
+    }
+  }
+
+  // Stores open lazily: a lookup of every key opens them all.
+  auto reopened = Start(kParts);
+  for (int i = 0; i < 60; ++i) {
+    reopened->Handle(Op(OpCode::kLookup, "rk-" + std::to_string(i), ""));
+  }
+  for (PartitionId p = 0; p < kParts; ++p) {
+    EXPECT_EQ(reopened->PartitionPairs(p), before[p]) << "partition " << p;
+  }
+}
+
+TEST_F(InstanceLogServerTest, ThousandPartitionsAddConstantThreads) {
+  auto server = Start(1024);
+  const std::vector<std::string> keys = KeyPerPartition();
+  const std::size_t threads_before = Threads();
+  struct Pending {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t left = 0;
+    std::size_t failed = 0;
+  } pending;
+  pending.left = keys.size();
+  for (const std::string& key : keys) {
+    server->HandleAsync(Op(OpCode::kInsert, key, "v"), [&](Response&& resp) {
+      std::lock_guard<std::mutex> lock(pending.mu);
+      if (!resp.ok()) ++pending.failed;
+      if (--pending.left == 0) pending.cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(pending.mu);
+    pending.cv.wait(lock, [&] { return pending.left == 0; });
+  }
+  EXPECT_EQ(pending.failed, 0u);
+  EXPECT_EQ(server->TotalEntries(), keys.size());
+  // One log and one flusher for all 1,024 partition stores.
+  EXPECT_LE(Threads(), threads_before + 2);
+}
+
+TEST_F(InstanceLogServerTest, DurabilityTelemetryCountsTheLogOnce) {
+  constexpr PartitionId kParts = 64;
+  // Keeps the first store so the test can read the log's own figures.
+  auto first = std::make_shared<KVStore*>(nullptr);
+  ClusterOptions cluster;
+  cluster.durability = DurabilityMode::kGroupCommit;
+  StoreFactory inner = MakeNoVoHTStoreFactory(dir_.string(), cluster);
+  StoreFactory spy = [inner, first](InstanceId self, PartitionId p) {
+    std::unique_ptr<KVStore> store = inner(self, p);
+    if (*first == nullptr) *first = store.get();
+    return store;
+  };
+  auto server = Start(kParts, spy);
+  const std::vector<std::string> keys = KeyPerPartition();
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(server->Handle(Op(OpCode::kInsert, key, "v")).ok());
+    }
+  }
+  const MetricsSnapshot snapshot = server->MetricsSnapshotNow();
+  ASSERT_NE(*first, nullptr);
+  StoreDurabilityMetrics log;
+  ASSERT_TRUE((*first)->durability_metrics(&log));
+  EXPECT_GT(log.group_commits, 0u);
+  EXPECT_EQ(snapshot.ValueOf("novoht.group_commits"),
+            static_cast<std::int64_t>(log.group_commits));
+  EXPECT_EQ(snapshot.Find("novoht.group_commit.fsync_micros")->histogram.count,
+            log.fsync_micros.count);
+}
+
+// A peer that never answers: every call waits out its timeout.
+class BlackholeTransport : public ClientTransport {
+ public:
+  Result<Response> Call(const NodeAddress&, const Request&,
+                        Nanos timeout) override {
+    calls.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::nanoseconds(timeout));
+    return Status(StatusCode::kTimeout, "blackhole");
+  }
+  std::atomic<int> calls{0};
+};
+
+TEST(TransferStreamTest, FailedBeginCancelsTheRestOfTheStream) {
+  const std::vector<NodeAddress> addresses = {NodeAddress{"10.0.0.1", 50000},
+                                              NodeAddress{"10.0.0.2", 50000}};
+  const MembershipTable table = MembershipTable::CreateUniform(8, addresses);
+  BlackholeTransport blackhole;
+  ZhtServerOptions options;
+  options.self = 0;
+  // Long enough that snapshotting the partition (slow under sanitizers)
+  // stays small beside it.
+  options.cluster.peer_timeout = 300 * kNanosPerMilli;
+  ZhtServer server(table, options, &blackhole);
+  const PartitionId p = table.PartitionsOf(0).front();
+  // About 2 MiB of pairs: eight or more Data carriers of 256 KiB.
+  const std::string value(64 * 1024, 'x');
+  int stored = 0;
+  for (int i = 0; stored < 36 && i < 100000; ++i) {
+    const std::string key = "big-" + std::to_string(i);
+    if (table.PartitionOfKey(key) != p) continue;
+    Request request;
+    request.op = OpCode::kInsert;
+    request.seq = static_cast<std::uint64_t>(i) + 1;
+    request.key = key;
+    request.value = value;
+    request.epoch = table.epoch();
+    ASSERT_TRUE(server.Handle(std::move(request)).ok());
+    ++stored;
+  }
+  ASSERT_EQ(stored, 36);
+
+  const auto start = std::chrono::steady_clock::now();
+  const Status status = server.MigratePartitionTo(p, addresses[1]);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(status.ok());
+  // Begin's timeout, not one per leg (Begin + 9 Data + End).
+  EXPECT_EQ(blackhole.calls.load(), 1);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(900));
+  // The partition stays with its owner, whole.
+  EXPECT_EQ(server.PartitionPairs(p).size(), 36u);
 }
 
 }  // namespace
