@@ -41,9 +41,9 @@ void Manager::PushTableTo(const NodeAddress& address,
   Request push;
   push.op = OpCode::kMembershipPush;
   push.server_origin = true;
+  push.seq = next_seq_++;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    push.seq = next_seq_++;
     push.value = table_.EncodeDelta(since_epoch);
   }
   auto result = transport_->Call(address, push, options_.cluster.peer_timeout);

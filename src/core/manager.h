@@ -9,6 +9,7 @@
 // broadcasts incremental membership updates.
 #pragma once
 
+#include <atomic>
 #include <mutex>
 
 #include "common/status.h"
@@ -124,7 +125,8 @@ class Manager {
   MembershipTable table_;
   std::vector<NodeAddress> peer_managers_;
   ManagerStats stats_;
-  std::uint64_t next_seq_ = 1;
+  // Drawn outside mu_ by joins and failure reports on different threads.
+  std::atomic<std::uint64_t> next_seq_{1};
 };
 
 }  // namespace zht

@@ -35,10 +35,15 @@ ZhtClient::ZhtClient(MembershipTable table, const ZhtClientOptions& options,
   }
   batch_hist_ = metrics_.GetHistogram("client.op.batch.latency_ns");
   batch_size_hist_ = metrics_.GetHistogram("client.batch.size");
-  retry_counter_ = metrics_.GetCounter("client.retries");
-  failover_counter_ = metrics_.GetCounter("client.failovers");
-  redirect_counter_ = metrics_.GetCounter("client.redirects_followed");
-  membership_pull_counter_ = metrics_.GetCounter("client.membership_pulls");
+  counters_.ops = metrics_.GetCounter("client.ops");
+  counters_.redirects_followed =
+      metrics_.GetCounter("client.redirects_followed");
+  counters_.failovers = metrics_.GetCounter("client.failovers");
+  counters_.retries = metrics_.GetCounter("client.retries");
+  counters_.nodes_reported_dead =
+      metrics_.GetCounter("client.nodes_reported_dead");
+  counters_.shed_backoffs = metrics_.GetCounter("client.shed_backoffs");
+  counters_.membership_pulls = metrics_.GetCounter("client.membership_pulls");
   if (options.client_id != 0) {
     client_id_ = options.client_id;
   } else {
@@ -47,6 +52,18 @@ ZhtClient::ZhtClient(MembershipTable table, const ZhtClientOptions& options,
     if (client_id_ == 0) client_id_ = 1;
   }
   backoff_rng_.Seed(client_id_);
+}
+
+ZhtClientStats ZhtClient::stats() const {
+  ZhtClientStats s;
+  s.ops = counters_.ops->value();
+  s.redirects_followed = counters_.redirects_followed->value();
+  s.failovers = counters_.failovers->value();
+  s.retries = counters_.retries->value();
+  s.nodes_reported_dead = counters_.nodes_reported_dead->value();
+  s.shed_backoffs = counters_.shed_backoffs->value();
+  s.membership_pulls = counters_.membership_pulls->value();
+  return s;
 }
 
 void ZhtClient::Backoff(Nanos duration) {
@@ -88,8 +105,7 @@ void ZhtClient::MaybePullMembership(const NodeAddress& from,
   if (observed_epoch != 0 && last_pull_epoch_ >= observed_epoch) return;
   if (pull_inflight_) return;
   pull_inflight_ = true;
-  ++stats_.membership_pulls;
-  membership_pull_counter_->Increment();
+  counters_.membership_pulls->Increment();
   Request pull;
   pull.op = OpCode::kMembershipPull;
   pull.seq = next_seq_++;
@@ -104,7 +120,7 @@ void ZhtClient::MaybePullMembership(const NodeAddress& from,
 }
 
 void ZhtClient::ReportFailure(InstanceId instance) {
-  ++stats_.nodes_reported_dead;
+  counters_.nodes_reported_dead->Increment();
   table_.SuspectDead(instance);
   if (!options_.manager) return;
   // Inform a manager (§III.C): it rebroadcasts membership and triggers
@@ -134,7 +150,7 @@ Result<Response> ZhtClient::Execute(OpCode op, std::string_view key,
 
 Result<Response> ZhtClient::ExecuteInternal(OpCode op, std::string_view key,
                                             std::string_view value) {
-  ++stats_.ops;
+  counters_.ops->Increment();
   int replica_try = 0;
   // Tracks the most recent transport-level failure so exhaustion can
   // distinguish a slow cluster (kTimeout) from a dead one (kUnavailable).
@@ -211,14 +227,12 @@ Result<Response> ZhtClient::ExecuteInternal(OpCode op, std::string_view key,
       // completes before the primary acks), so failover lookups stay
       // consistent while the owner is down or its partitions rebuild.
       last_transport = result.status().code();
-      ++stats_.retries;
-      retry_counter_->Increment();
+      counters_.retries->Increment();
       Backoff(detector_.BackoffFor(address));
       if (detector_.RecordFailure(address)) {
         ReportFailure(target);
         transport_->Invalidate(address);
-        ++stats_.failovers;
-        failover_counter_->Increment();
+        counters_.failovers->Increment();
         ++replica_try;
       }
       ++attempt;
@@ -228,8 +242,7 @@ Result<Response> ZhtClient::ExecuteInternal(OpCode op, std::string_view key,
 
     StatusCode code = static_cast<StatusCode>(result->status);
     if (code == StatusCode::kRedirect) {
-      ++stats_.redirects_followed;
-      redirect_counter_->Increment();
+      counters_.redirects_followed->Increment();
       bool applied = false;
       if (!result->membership.empty()) {
         applied = ApplyMembership(result->membership).ok();
@@ -250,8 +263,7 @@ Result<Response> ZhtClient::ExecuteInternal(OpCode op, std::string_view key,
                       "partition " + std::to_string(partition) +
                           " stuck migrating");
       }
-      ++stats_.retries;
-      retry_counter_->Increment();
+      counters_.retries->Increment();
       // Jittered growth desynchronizes the herd stuck behind one
       // migration; the fixed base is kept when sleeps are disabled so
       // simulated-time tests stay deterministic (no RNG draw).
@@ -272,9 +284,8 @@ Result<Response> ZhtClient::ExecuteInternal(OpCode op, std::string_view key,
       // instead of re-arriving as a synchronized wave. The final shed
       // retry falls through and surfaces the kUnavailable to the caller.
       ++shed_retries;
-      ++stats_.retries;
-      ++stats_.shed_backoffs;
-      retry_counter_->Increment();
+      counters_.retries->Increment();
+      counters_.shed_backoffs->Increment();
       const Nanos hint = static_cast<Nanos>(result->retry_after_us) * 1000;
       shed_wait = options_.sleep_on_backoff
                       ? DecorrelatedBackoff(
@@ -298,7 +309,7 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
     std::span<const std::string> values) {
   const Stopwatch watch(SystemClock::Instance());
   const std::size_t n = keys.size();
-  stats_.ops += n;
+  counters_.ops->Increment(n);
   batch_size_hist_->Record(static_cast<std::int64_t>(n));
   std::vector<Result<Response>> results(
       n, Result<Response>(Status(StatusCode::kTimeout, "attempts exhausted")));
@@ -388,16 +399,14 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
       if (!replies.ok()) {
         // The shard shared one network exchange: back off once, and fail
         // the whole shard over together when the detector declares death.
-        ++stats_.retries;
-        retry_counter_->Increment();
+        counters_.retries->Increment();
         hard_seen = true;
         Backoff(detector_.BackoffFor(address));
         const bool dead = detector_.RecordFailure(address);
         if (dead) {
           ReportFailure(target);
           transport_->Invalidate(address);
-          ++stats_.failovers;
-          failover_counter_->Increment();
+          counters_.failovers->Increment();
         }
         for (std::size_t i : indices) {
           last_transport[i] = replies.status().code();
@@ -417,8 +426,7 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
           // Partition moved mid-batch: apply the piggybacked delta once
           // (the server attaches it to the first redirected sub-op) and
           // re-shard the key next round.
-          ++stats_.redirects_followed;
-          redirect_counter_->Increment();
+          counters_.redirects_followed->Increment();
           hard_seen = true;
           if (!membership_applied) {
             membership_applied = true;
@@ -436,8 +444,7 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
           continue;
         }
         if (code == StatusCode::kMigrating) {
-          ++stats_.retries;
-          retry_counter_->Increment();
+          counters_.retries->Increment();
           migrating_seen = true;
           last_transport[i] = StatusCode::kTimeout;
           still_pending.push_back(i);
@@ -448,9 +455,8 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
           // Shed under admission control: the sub-op retries next round
           // after the hinted pause (the round waits for the largest hint
           // seen). On the final shed round the shed response stands.
-          ++stats_.retries;
-          ++stats_.shed_backoffs;
-          retry_counter_->Increment();
+          counters_.retries->Increment();
+          counters_.shed_backoffs->Increment();
           shed_hint = std::max(
               shed_hint, static_cast<Nanos>(sub.retry_after_us) * 1000);
           last_transport[i] = StatusCode::kTimeout;
@@ -605,8 +611,7 @@ Status ZhtClient::RefreshMembership(std::optional<InstanceId> from) {
   pull.op = OpCode::kMembershipPull;
   pull.seq = next_seq_++;
   pull.epoch = table_.epoch();
-  ++stats_.membership_pulls;
-  membership_pull_counter_->Increment();
+  counters_.membership_pulls->Increment();
   auto result = transport_->Call(table_.Instance(source).address, pull,
                                  options_.cluster.op_timeout);
   if (!result.ok()) return result.status();

@@ -82,6 +82,7 @@ struct KeyValue {
   std::string value;
 };
 
+// A by-value view of the registry counters `client.<field>`.
 struct ZhtClientStats {
   std::uint64_t ops = 0;
   std::uint64_t redirects_followed = 0;
@@ -132,10 +133,10 @@ class ZhtClient {
 
   MembershipTable& table() { return table_; }
   const MembershipTable& table() const { return table_; }
-  const ZhtClientStats& stats() const { return stats_; }
+  ZhtClientStats stats() const;
   // End-to-end per-op latency histograms (client.op.<name>.latency_ns,
-  // covering redirects/retries/failovers within one logical op) plus
-  // counters mirroring ZhtClientStats.
+  // covering redirects/retries/failovers within one logical op) plus the
+  // only store of the counters stats() reads.
   const MetricsRegistry& metrics() const { return metrics_; }
   // Observability for the detector's bounded-state guarantee: how many
   // destinations it currently tracks (pruned on membership updates).
@@ -172,7 +173,6 @@ class ZhtClient {
   ZhtClientOptions options_;
   ClientTransport* transport_;
   FailureDetector detector_;
-  ZhtClientStats stats_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t client_id_ = 0;
   Rng backoff_rng_;  // jitter source, seeded from client_id_
@@ -185,10 +185,17 @@ class ZhtClient {
   Histogram* op_hist_[4] = {};
   Histogram* batch_hist_ = nullptr;       // one Multi* call end to end
   Histogram* batch_size_hist_ = nullptr;  // keys per Multi* call
-  Counter* retry_counter_ = nullptr;
-  Counter* failover_counter_ = nullptr;
-  Counter* redirect_counter_ = nullptr;
-  Counter* membership_pull_counter_ = nullptr;
+  // One counter per ZhtClientStats field, named after it.
+  struct EventCounters {
+    Counter* ops = nullptr;
+    Counter* redirects_followed = nullptr;
+    Counter* failovers = nullptr;
+    Counter* retries = nullptr;
+    Counter* nodes_reported_dead = nullptr;
+    Counter* shed_backoffs = nullptr;
+    Counter* membership_pulls = nullptr;
+  };
+  EventCounters counters_;
 };
 
 }  // namespace zht

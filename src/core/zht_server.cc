@@ -202,17 +202,34 @@ ZhtServer::ZhtServer(MembershipTable table, const ZhtServerOptions& options,
   batch_hist_ = metrics_.GetHistogram("server.op.batch.latency_ns");
   batch_size_hist_ = metrics_.GetHistogram("server.batch.size");
   replication_fanout_hist_ = metrics_.GetHistogram("server.replication.fanout");
-  mailbox_depth_hist_ = metrics_.GetHistogram("server.mailbox.depth");
-  replication_sync_counter_ = metrics_.GetCounter("server.replication.sync");
-  replication_async_counter_ = metrics_.GetCounter("server.replication.async");
-  redirect_counter_ = metrics_.GetCounter("server.redirects");
-  forwards_counter_ = metrics_.GetCounter("reactor.forwards");
-  mailbox_full_counter_ = metrics_.GetCounter("reactor.mailbox_full");
-  cache_hit_counter_ = metrics_.GetCounter("server.cache.hit");
-  cache_miss_counter_ = metrics_.GetCounter("server.cache.miss");
-  cache_invalidate_counter_ = metrics_.GetCounter("server.cache.invalidate");
-  cache_drop_counter_ = metrics_.GetCounter("server.cache.drop");
-  shed_counter_ = metrics_.GetCounter("server.admission.shed");
+  counters_.ops = metrics_.GetCounter("server.ops");
+  counters_.redirects = metrics_.GetCounter("server.redirects");
+  counters_.replications_sync = metrics_.GetCounter("server.replication.sync");
+  counters_.replications_async =
+      metrics_.GetCounter("server.replication.async");
+  counters_.migrations_out = metrics_.GetCounter("server.migrations.out");
+  counters_.migrations_in = metrics_.GetCounter("server.migrations.in");
+  counters_.migration_pairs_streamed =
+      metrics_.GetCounter("server.migration.pairs_streamed");
+  counters_.migration_bytes_streamed =
+      metrics_.GetCounter("server.migration.bytes_streamed");
+  counters_.broadcasts = metrics_.GetCounter("server.broadcasts");
+  counters_.duplicate_appends_dropped =
+      metrics_.GetCounter("server.appends.duplicate_dropped");
+  counters_.antientropy_probes = metrics_.GetCounter("server.antientropy.probes");
+  counters_.antientropy_clean = metrics_.GetCounter("server.antientropy.clean");
+  counters_.rebuilds_started = metrics_.GetCounter("server.rebuild.started");
+  counters_.rebuilds_completed = metrics_.GetCounter("server.rebuild.completed");
+  counters_.rebuild_pairs_streamed =
+      metrics_.GetCounter("server.rebuild.pairs_streamed");
+  counters_.rebuild_retries = metrics_.GetCounter("server.rebuild.retries");
+  counters_.hot_cache_hits = metrics_.GetCounter("server.cache.hit");
+  counters_.hot_cache_misses = metrics_.GetCounter("server.cache.miss");
+  counters_.hot_cache_invalidations =
+      metrics_.GetCounter("server.cache.invalidate");
+  counters_.hot_cache_drops = metrics_.GetCounter("server.cache.drop");
+  counters_.sheds = metrics_.GetCounter("server.admission.shed");
+  counters_.mailbox_full = metrics_.GetCounter("reactor.mailbox_full");
 
   const std::size_t num_finishers =
       std::max<std::size_t>(2, std::min<std::size_t>(4, num_shards));
@@ -304,13 +321,12 @@ void ZhtServer::Enqueue(Shard& shard, ShardTask task) {
     // Cross-reactor forward: a message into the owner's mailbox, not a
     // lock on the owner's state.
     shard.forwarded.fetch_add(1, kRelaxed);
-    forwards_counter_->Increment();
   }
   if (from >= 0 && static_cast<std::size_t>(from) < shard.rings.size()) {
     if (!shard.rings[from]->Push(std::move(task))) {
       // Bounded ring overflowed; spill to the MPSC queue (unbounded) so
       // the producer never blocks inside its own event loop.
-      mailbox_full_counter_->Increment();
+      counters_.mailbox_full->Increment();
       shard.overflow.Push(std::move(task));
     }
   } else {
@@ -362,10 +378,7 @@ void ZhtServer::DrainShared(Shard& shard) {
 
 std::size_t ZhtServer::DrainAll(Shard& shard) {
   const std::uint64_t depth = shard.queued.load(std::memory_order_acquire);
-  if (depth > 0) {
-    shard.mailbox_depth.Record(static_cast<std::int64_t>(depth));
-    mailbox_depth_hist_->Record(static_cast<std::int64_t>(depth));
-  }
+  if (depth > 0) shard.mailbox_depth.Record(static_cast<std::int64_t>(depth));
   std::size_t ran = 0;
   for (;;) {
     ShardTask task;
@@ -646,8 +659,7 @@ ZhtServer::DataRoute ZhtServer::RouteDataOp(Shard& shard,
     const bool current_failover =
         is_client_failover && in_chain && request.epoch >= route.epoch;
     if (!is_primary && !current_failover) {
-      stats_.redirects.fetch_add(1, kRelaxed);
-      redirect_counter_->Increment();
+      counters_.redirects->Increment();
       route.redirect =
           RedirectTo(shard, route.chain.empty() ? 0 : route.chain[0],
                      request.seq, request.epoch, /*include_membership=*/true);
@@ -782,7 +794,7 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   if (op == OpCode::kAppend && IsDuplicateAppend(shard, request)) {
     // Retransmission of an append we already applied: acknowledge success
     // without re-applying.
-    stats_.duplicate_appends_dropped.fetch_add(1, kRelaxed);
+    counters_.duplicate_appends_dropped->Increment();
     resp.status = Status::Ok().raw();
     done(std::move(resp));
     RecordDataOpLatency(op, start);
@@ -792,7 +804,7 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   std::string lookup_value;
   Status status = ApplyToStore(shard, op, route.partition, request.key,
                                request.value, &lookup_value);
-  stats_.ops.fetch_add(1, kRelaxed);
+  counters_.ops->Increment();
   if (op == OpCode::kLookup) {
     // Fill in-shard, where this partition's store is ordered: the control
     // flow above guarantees it is owned and not mid-migration/rebuild.
@@ -970,8 +982,7 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
           sub.retry_after_us = hint;
           gather->responses[i] = std::move(sub);
         }
-        stats_.sheds.fetch_add(groups[s].size(), kRelaxed);
-        shed_counter_->Increment(groups[s].size());
+        counters_.sheds->Increment(groups[s].size());
         CompleteBatchGroup(gather);
         continue;
       }
@@ -1010,7 +1021,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
       continue;
     }
     if (op.op == OpCode::kAppend && IsDuplicateAppend(shard, op)) {
-      stats_.duplicate_appends_dropped.fetch_add(1, kRelaxed);
+      counters_.duplicate_appends_dropped->Increment();
       sub.status = Status::Ok().raw();
       gather->responses[i] = std::move(sub);
       continue;
@@ -1020,7 +1031,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
       // Batch sub-ops reach the shard drain before probing (the scatter
       // loop cannot know each sub-op's shard cheaply), but a hit still
       // skips the store lookup and the replica-chain resolution.
-      stats_.ops.fetch_add(1, kRelaxed);
+      counters_.ops->Increment();
       sub.status = Status::Ok().raw();
       gather->responses[i] = std::move(sub);
       continue;
@@ -1028,7 +1039,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
     std::string lookup_value;
     Status status = ApplyToStore(shard, op.op, route.partition, op.key,
                                  op.value, &lookup_value);
-    stats_.ops.fetch_add(1, kRelaxed);
+    counters_.ops->Increment();
     if (op.op == OpCode::kLookup) {
       if (status.ok()) CacheFill(shard, route.partition, op.key, lookup_value);
     } else {
@@ -1249,10 +1260,8 @@ void ZhtServer::StartMigrateOut(PartitionId partition,
              [this, partition, done = std::move(done)](
                  Status status, TransferSize size) mutable {
                if (status.ok()) {
-                 stats_.migration_pairs_streamed.fetch_add(size.pairs,
-                                                           kRelaxed);
-                 stats_.migration_bytes_streamed.fetch_add(size.bytes,
-                                                           kRelaxed);
+                 counters_.migration_pairs_streamed->Increment(size.pairs);
+                 counters_.migration_bytes_streamed->Increment(size.bytes);
                }
                FinishMigrateOut(partition, std::move(status), size.pairs != 0,
                                 std::move(done));
@@ -1281,7 +1290,7 @@ void ZhtServer::FinishMigrateOut(PartitionId partition, Status status,
              }
              sh.stores.erase(it);
            }
-           stats_.migrations_out.fetch_add(1, kRelaxed);
+           counters_.migrations_out->Increment();
          }
          // Dropped before the manager can broadcast the new membership:
          // no window where this instance serves cached values for a
@@ -1468,7 +1477,7 @@ void ZhtServer::ExecTransferEnd(Shard& shard, Request&& request,
   }
   // A stream to chain depth 0 hands this instance the partition.
   if (request.replica_index == 0) {
-    stats_.migrations_in.fetch_add(1, kRelaxed);
+    counters_.migrations_in->Increment();
   }
   // Ack End only once the swapped-in pairs are durable in the canonical
   // log — the source counts the transfer as done on that ack.
@@ -1536,7 +1545,7 @@ void ZhtServer::ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
                                     std::vector<RebuildTarget> targets) {
   std::vector<InstanceId> stale;
   for (const RebuildTarget& target : targets) {
-    stats_.antientropy_probes.fetch_add(1, kRelaxed);
+    counters_.antientropy_probes->Increment();
     bool matched = false;
     if (!target.address.host.empty() || target.address.port != 0) {
       Request probe;
@@ -1553,7 +1562,7 @@ void ZhtServer::ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
     // An unreachable or undecodable member counts as stale: the stream
     // will either repair it or fail its End check and be abandoned.
     if (matched) {
-      stats_.antientropy_clean.fetch_add(1, kRelaxed);
+      counters_.antientropy_clean->Increment();
     } else {
       stale.push_back(target.id);
     }
@@ -1662,15 +1671,15 @@ void ZhtServer::StreamRebuildTarget(Shard& shard, PartitionId partition,
                                     RebuildTarget& target) {
   ++target.attempts;
   if (target.attempts == 1) {
-    stats_.rebuilds_started.fetch_add(1, kRelaxed);
+    counters_.rebuilds_started->Increment();
   } else {
-    stats_.rebuild_retries.fetch_add(1, kRelaxed);
+    counters_.rebuild_retries->Increment();
   }
   const InstanceId id = target.id;
   StreamTransfer(
       shard, partition, target.address, target.replica_index,
       [this, partition, id](Status status, TransferSize size) {
-        stats_.rebuild_pairs_streamed.fetch_add(size.pairs, kRelaxed);
+        counters_.rebuild_pairs_streamed->Increment(size.pairs);
         Post(ShardForPartition(partition),
              [this, partition, id,
               status = std::move(status)](Shard& sh) mutable {
@@ -1695,7 +1704,7 @@ void ZhtServer::FinishRebuildLeg(Shard& shard, PartitionId partition,
     return;
   }
   if (status.ok()) {
-    stats_.rebuilds_completed.fetch_add(1, kRelaxed);
+    counters_.rebuilds_completed->Increment();
   } else {
     ZHT_WARN << "rebuild of partition " << partition << " to instance " << id
              << " abandoned: " << status.ToString();
@@ -1765,7 +1774,7 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
   KVStore* store = StoreIn(shard, partition);
   Status put = store ? store->Put(request.key, request.value)
                      : Status(StatusCode::kInternal, "store factory failed");
-  stats_.broadcasts.fetch_add(1, kRelaxed);
+  counters_.broadcasts->Increment();
 
   // Binary spanning tree over instance ids (§VI "Broadcast primitive"):
   // node i forwards to 2i+1 and 2i+2. Children's addresses resolve here,
@@ -1832,8 +1841,7 @@ void ZhtServer::ReplicateSync(const Request& original, PartitionId partition,
     leg.replica_index = static_cast<std::uint8_t>(i);
     const bool diverted = plan.via_async.size() > i && plan.via_async[i];
     if (i < sync_end && !diverted) {
-      stats_.replications_sync.fetch_add(1, kRelaxed);
-      replication_sync_counter_->Increment();
+      counters_.replications_sync->Increment();
       auto result = peer_transport_->Call(plan.addresses[i], leg,
                                           options_.cluster.peer_timeout);
       if (!result.ok()) {
@@ -1842,8 +1850,7 @@ void ZhtServer::ReplicateSync(const Request& original, PartitionId partition,
       }
     } else {
       EnqueueAsyncReplication(std::move(leg), plan.addresses[i]);
-      replication_async_counter_->Increment();
-      stats_.replications_async.fetch_add(1, kRelaxed);
+      counters_.replications_async->Increment();
     }
   }
 }
@@ -1873,8 +1880,7 @@ void ZhtServer::ReplicateBatchResolved(
       forward.replica_index = static_cast<std::uint8_t>(r);
       if (plan.via_async.size() > r && plan.via_async[r]) {
         // Member mid-rebuild: divert the leg behind the stream.
-        replication_async_counter_->Increment();
-        stats_.replications_async.fetch_add(1, kRelaxed);
+        counters_.replications_async->Increment();
         EnqueueAsyncReplication(std::move(forward), plan.addresses[r]);
         continue;
       }
@@ -1884,8 +1890,7 @@ void ZhtServer::ReplicateBatchResolved(
     }
   }
   for (auto& [target_id, group] : groups) {
-    stats_.replications_sync.fetch_add(group.second.size(), kRelaxed);
-    replication_sync_counter_->Increment(group.second.size());
+    counters_.replications_sync->Increment(group.second.size());
     auto result = peer_transport_->CallBatch(group.first, group.second,
                                              options_.cluster.peer_timeout);
     if (!result.ok()) {
@@ -1911,8 +1916,7 @@ void ZhtServer::ReplicateBatchResolved(
   for (auto& [target_id, group] : async_groups) {
     Request packed = PackBatchRequest(group.second, group.second.front().seq,
                                       /*server_origin=*/true);
-    replication_async_counter_->Increment(group.second.size());
-    stats_.replications_async.fetch_add(group.second.size(), kRelaxed);
+    counters_.replications_async->Increment(group.second.size());
     EnqueueAsyncReplication(std::move(packed), group.first);
   }
 }
@@ -2030,27 +2034,27 @@ void ZhtServer::FinisherLoop() {
 
 ZhtServerStats ZhtServer::stats() const {
   ZhtServerStats s;
-  s.ops = stats_.ops.load(kRelaxed);
-  s.redirects = stats_.redirects.load(kRelaxed);
-  s.replications_sync = stats_.replications_sync.load(kRelaxed);
-  s.replications_async = stats_.replications_async.load(kRelaxed);
-  s.migrations_out = stats_.migrations_out.load(kRelaxed);
-  s.migrations_in = stats_.migrations_in.load(kRelaxed);
-  s.migration_pairs_streamed = stats_.migration_pairs_streamed.load(kRelaxed);
-  s.migration_bytes_streamed = stats_.migration_bytes_streamed.load(kRelaxed);
-  s.broadcasts = stats_.broadcasts.load(kRelaxed);
-  s.duplicate_appends_dropped = stats_.duplicate_appends_dropped.load(kRelaxed);
-  s.antientropy_probes = stats_.antientropy_probes.load(kRelaxed);
-  s.antientropy_clean = stats_.antientropy_clean.load(kRelaxed);
-  s.rebuilds_started = stats_.rebuilds_started.load(kRelaxed);
-  s.rebuilds_completed = stats_.rebuilds_completed.load(kRelaxed);
-  s.rebuild_pairs_streamed = stats_.rebuild_pairs_streamed.load(kRelaxed);
-  s.rebuild_retries = stats_.rebuild_retries.load(kRelaxed);
-  s.hot_cache_hits = stats_.hot_cache_hits.load(kRelaxed);
-  s.hot_cache_misses = stats_.hot_cache_misses.load(kRelaxed);
-  s.hot_cache_invalidations = stats_.hot_cache_invalidations.load(kRelaxed);
-  s.hot_cache_drops = stats_.hot_cache_drops.load(kRelaxed);
-  s.sheds = stats_.sheds.load(kRelaxed);
+  s.ops = counters_.ops->value();
+  s.redirects = counters_.redirects->value();
+  s.replications_sync = counters_.replications_sync->value();
+  s.replications_async = counters_.replications_async->value();
+  s.migrations_out = counters_.migrations_out->value();
+  s.migrations_in = counters_.migrations_in->value();
+  s.migration_pairs_streamed = counters_.migration_pairs_streamed->value();
+  s.migration_bytes_streamed = counters_.migration_bytes_streamed->value();
+  s.broadcasts = counters_.broadcasts->value();
+  s.duplicate_appends_dropped = counters_.duplicate_appends_dropped->value();
+  s.antientropy_probes = counters_.antientropy_probes->value();
+  s.antientropy_clean = counters_.antientropy_clean->value();
+  s.rebuilds_started = counters_.rebuilds_started->value();
+  s.rebuilds_completed = counters_.rebuilds_completed->value();
+  s.rebuild_pairs_streamed = counters_.rebuild_pairs_streamed->value();
+  s.rebuild_retries = counters_.rebuild_retries->value();
+  s.hot_cache_hits = counters_.hot_cache_hits->value();
+  s.hot_cache_misses = counters_.hot_cache_misses->value();
+  s.hot_cache_invalidations = counters_.hot_cache_invalidations->value();
+  s.hot_cache_drops = counters_.hot_cache_drops->value();
+  s.sheds = counters_.sheds->value();
   return s;
 }
 
@@ -2089,8 +2093,9 @@ void ZhtServer::ScatterCensus(
 
 MetricsSnapshot ZhtServer::BuildSnapshot(
     const std::vector<ShardCensus>& census) const {
-  // Legacy counters and instance-level gauges first (stable names the
-  // tools print as `name = value`), then everything in the registry.
+  // Snapshot-time values first (the instance-level gauges, the per-log
+  // durability census, and the per-shard mailbox telemetry summed across
+  // shards), then every event counter and histogram in the registry.
   MetricsSnapshot snapshot;
   std::uint64_t entries = 0;
   std::size_t held = 0;
@@ -2113,28 +2118,6 @@ MetricsSnapshot ZhtServer::BuildSnapshot(
   snapshot.AddGauge("epoch", epoch_.load(kRelaxed));
   snapshot.AddGauge("partitions_held", static_cast<std::int64_t>(held));
   snapshot.AddGauge("entries", static_cast<std::int64_t>(entries));
-  snapshot.AddCounter("ops", stats_.ops.load(kRelaxed));
-  snapshot.AddCounter("redirects", stats_.redirects.load(kRelaxed));
-  snapshot.AddCounter("replications_sync",
-                      stats_.replications_sync.load(kRelaxed));
-  snapshot.AddCounter("replications_async",
-                      stats_.replications_async.load(kRelaxed));
-  snapshot.AddCounter("migrations_in", stats_.migrations_in.load(kRelaxed));
-  snapshot.AddCounter("migrations_out", stats_.migrations_out.load(kRelaxed));
-  snapshot.AddCounter("migration_pairs_streamed",
-                      stats_.migration_pairs_streamed.load(kRelaxed));
-  snapshot.AddCounter("migration_bytes_streamed",
-                      stats_.migration_bytes_streamed.load(kRelaxed));
-  snapshot.AddCounter("broadcasts", stats_.broadcasts.load(kRelaxed));
-  snapshot.AddCounter("duplicate_appends_dropped",
-                      stats_.duplicate_appends_dropped.load(kRelaxed));
-  snapshot.AddCounter("hot_cache_hits", stats_.hot_cache_hits.load(kRelaxed));
-  snapshot.AddCounter("hot_cache_misses",
-                      stats_.hot_cache_misses.load(kRelaxed));
-  snapshot.AddCounter("hot_cache_invalidations",
-                      stats_.hot_cache_invalidations.load(kRelaxed));
-  snapshot.AddCounter("hot_cache_drops", stats_.hot_cache_drops.load(kRelaxed));
-  snapshot.AddCounter("sheds", stats_.sheds.load(kRelaxed));
   if (any_durability) {
     snapshot.AddCounter("novoht.fsync_errors", durability.fsync_errors);
     snapshot.AddCounter("novoht.group_commits", durability.group_commits);
@@ -2143,6 +2126,14 @@ MetricsSnapshot ZhtServer::BuildSnapshot(
     snapshot.AddHistogram("novoht.group_commit.fsync_micros",
                           durability.fsync_micros);
   }
+  std::uint64_t forwards = 0;
+  HistogramData mailbox_depth;
+  for (const auto& shard : shards_) {
+    forwards += shard->forwarded.load(kRelaxed);
+    mailbox_depth.Merge(shard->mailbox_depth.Snapshot());
+  }
+  snapshot.AddCounter("reactor.forwards", forwards);
+  snapshot.AddHistogram("server.mailbox.depth", std::move(mailbox_depth));
   MetricsSnapshot registry = metrics_.Snapshot();
   snapshot.entries.insert(snapshot.entries.end(),
                           std::make_move_iterator(registry.entries.begin()),
@@ -2200,12 +2191,10 @@ bool ZhtServer::CacheLookup(Shard& shard, std::string_view key,
                             std::string* value) {
   if (!shard.hot_cache.enabled()) return false;
   if (shard.hot_cache.TryGet(key, value)) {
-    stats_.hot_cache_hits.fetch_add(1, kRelaxed);
-    cache_hit_counter_->Increment();
+    counters_.hot_cache_hits->Increment();
     return true;
   }
-  stats_.hot_cache_misses.fetch_add(1, kRelaxed);
-  cache_miss_counter_->Increment();
+  counters_.hot_cache_misses->Increment();
   return false;
 }
 
@@ -2220,7 +2209,7 @@ bool ZhtServer::TryServeFromCache(Shard& shard, const Request& request,
   resp.seq = request.seq;
   resp.epoch = epoch_.load(kRelaxed);
   if (!CacheLookup(shard, request.key, &resp.value)) return false;
-  stats_.ops.fetch_add(1, kRelaxed);
+  counters_.ops->Increment();
   done(std::move(resp));
   RecordDataOpLatency(OpCode::kLookup, start);
   return true;
@@ -2250,8 +2239,7 @@ bool ZhtServer::MaybeShed(Shard& shard, const Request& request,
   if (request.server_origin) return false;
   const std::uint32_t hint = AdmissionRetryHint(shard);
   if (hint == 0) return false;
-  stats_.sheds.fetch_add(1, kRelaxed);
-  shed_counter_->Increment();
+  counters_.sheds->Increment();
   Response resp;
   resp.seq = request.seq;
   resp.epoch = epoch_.load(kRelaxed);
@@ -2269,24 +2257,21 @@ void ZhtServer::CacheFill(Shard& shard, PartitionId partition,
 
 void ZhtServer::CacheInvalidate(Shard& shard, std::string_view key) {
   if (shard.hot_cache.Invalidate(key)) {
-    stats_.hot_cache_invalidations.fetch_add(1, kRelaxed);
-    cache_invalidate_counter_->Increment();
+    counters_.hot_cache_invalidations->Increment();
   }
 }
 
 void ZhtServer::CacheDropPartition(Shard& shard, PartitionId partition) {
   const std::size_t dropped = shard.hot_cache.DropPartition(partition);
   if (dropped != 0) {
-    stats_.hot_cache_drops.fetch_add(dropped, kRelaxed);
-    cache_drop_counter_->Increment(dropped);
+    counters_.hot_cache_drops->Increment(dropped);
   }
 }
 
 void ZhtServer::CacheClear(Shard& shard) {
   const std::size_t dropped = shard.hot_cache.Clear();
   if (dropped != 0) {
-    stats_.hot_cache_drops.fetch_add(dropped, kRelaxed);
-    cache_drop_counter_->Increment(dropped);
+    counters_.hot_cache_drops->Increment(dropped);
   }
 }
 

@@ -108,6 +108,8 @@ struct ZhtServerOptions {
   std::size_t mailbox_ring_capacity = 1024;
 };
 
+// A by-value view: stats() fills each field from its registry counter, the
+// event's only count (STATS shows it under its `server.*` name).
 struct ZhtServerStats {
   std::uint64_t ops = 0;              // data operations served
   std::uint64_t redirects = 0;        // wrong-owner requests answered
@@ -230,14 +232,14 @@ class ZhtServer {
   // Partition-store count per shard ("owned partitions"). Blocking scatter.
   std::vector<std::size_t> ShardPartitionCounts() const;
 
-  // Structured observability (§8 of DESIGN.md): per-opcode service-time
-  // histograms, batch sizes, replication fan-out, mailbox counters.
+  // Structured observability (§8 of DESIGN.md): every event counter,
+  // per-opcode service-time histograms, batch sizes, replication fan-out.
   // Recording is lock-free; the registry mutex is touched only here and at
   // construction.
   const MetricsRegistry& metrics() const { return metrics_; }
-  // The full STATS payload: registry metrics plus the legacy counters and
-  // instance-level gauges, as encoded by serialize/metrics_codec.h.
-  // Blocking (census scatter); not for reactor threads.
+  // The full STATS payload, one name per event: instance-level gauges, the
+  // durability census and the shards' forwards and mailbox depths, then the
+  // registry. Blocking (census scatter); not for reactor threads.
   MetricsSnapshot MetricsSnapshotNow() const;
 
   // Total pairs held (all partitions, primary and replica). Blocking.
@@ -407,7 +409,7 @@ class ZhtServer {
     // so a straggler wake after unbind is a harmless eventfd write.
     std::function<void()> waker;
 
-    // --- telemetry ---
+    // --- telemetry (the only record; snapshots sum it across shards) ---
     std::atomic<std::uint64_t> forwarded{0};  // cross-executor posts
     Histogram mailbox_depth;                  // depth seen at each drain
 
@@ -640,53 +642,43 @@ class ZhtServer {
   PartitionSpace space_;
   std::atomic<std::uint32_t> epoch_;
 
-  // Metrics registry plus hot-path handles resolved at construction, so the
-  // request path records through raw pointers (atomic ops, no lock, no
-  // lookup). data_op_hist_[op-1] covers kInsert..kAppend.
+  // The only counter store, plus hot-path handles resolved at construction,
+  // so the request path records through raw pointers (atomic ops, no lock,
+  // no lookup). data_op_hist_[op-1] covers kInsert..kAppend.
   MetricsRegistry metrics_;
   Histogram* data_op_hist_[4] = {};
   Histogram* batch_hist_ = nullptr;       // whole-batch service time
   Histogram* batch_size_hist_ = nullptr;  // sub-ops per BATCH envelope
   Histogram* replication_fanout_hist_ = nullptr;  // replicas per mutation
-  Histogram* mailbox_depth_hist_ = nullptr;       // all shards merged
-  Counter* replication_sync_counter_ = nullptr;
-  Counter* replication_async_counter_ = nullptr;
-  Counter* redirect_counter_ = nullptr;
-  Counter* forwards_counter_ = nullptr;      // reactor.forwards
-  Counter* mailbox_full_counter_ = nullptr;  // reactor.mailbox_full
-  Counter* cache_hit_counter_ = nullptr;         // server.cache.hit
-  Counter* cache_miss_counter_ = nullptr;        // server.cache.miss
-  Counter* cache_invalidate_counter_ = nullptr;  // server.cache.invalidate
-  Counter* cache_drop_counter_ = nullptr;        // server.cache.drop
-  Counter* shed_counter_ = nullptr;              // server.admission.shed
+  // One registry counter per event, named after the ZhtServerStats field
+  // it fills; the constructor gives each its `server.*` registry name.
+  struct EventCounters {
+    Counter* ops = nullptr;
+    Counter* redirects = nullptr;
+    Counter* replications_sync = nullptr;
+    Counter* replications_async = nullptr;
+    Counter* migrations_out = nullptr;
+    Counter* migrations_in = nullptr;
+    Counter* migration_pairs_streamed = nullptr;
+    Counter* migration_bytes_streamed = nullptr;
+    Counter* broadcasts = nullptr;
+    Counter* duplicate_appends_dropped = nullptr;
+    Counter* antientropy_probes = nullptr;
+    Counter* antientropy_clean = nullptr;
+    Counter* rebuilds_started = nullptr;
+    Counter* rebuilds_completed = nullptr;
+    Counter* rebuild_pairs_streamed = nullptr;
+    Counter* rebuild_retries = nullptr;
+    Counter* hot_cache_hits = nullptr;
+    Counter* hot_cache_misses = nullptr;
+    Counter* hot_cache_invalidations = nullptr;
+    Counter* hot_cache_drops = nullptr;
+    Counter* sheds = nullptr;
+    Counter* mailbox_full = nullptr;  // reactor.mailbox_full; STATS only
+  };
+  EventCounters counters_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Monotonic counters; relaxed atomics (read via stats()).
-  struct StatsCounters {
-    std::atomic<std::uint64_t> ops{0};
-    std::atomic<std::uint64_t> redirects{0};
-    std::atomic<std::uint64_t> replications_sync{0};
-    std::atomic<std::uint64_t> replications_async{0};
-    std::atomic<std::uint64_t> migrations_out{0};
-    std::atomic<std::uint64_t> migrations_in{0};
-    std::atomic<std::uint64_t> migration_pairs_streamed{0};
-    std::atomic<std::uint64_t> migration_bytes_streamed{0};
-    std::atomic<std::uint64_t> broadcasts{0};
-    std::atomic<std::uint64_t> duplicate_appends_dropped{0};
-    std::atomic<std::uint64_t> antientropy_probes{0};
-    std::atomic<std::uint64_t> antientropy_clean{0};
-    std::atomic<std::uint64_t> rebuilds_started{0};
-    std::atomic<std::uint64_t> rebuilds_completed{0};
-    std::atomic<std::uint64_t> rebuild_pairs_streamed{0};
-    std::atomic<std::uint64_t> rebuild_retries{0};
-    std::atomic<std::uint64_t> hot_cache_hits{0};
-    std::atomic<std::uint64_t> hot_cache_misses{0};
-    std::atomic<std::uint64_t> hot_cache_invalidations{0};
-    std::atomic<std::uint64_t> hot_cache_drops{0};
-    std::atomic<std::uint64_t> sheds{0};
-  };
-  mutable StatsCounters stats_;
 
   // Lifecycle: every HandleAsync holds an in-flight reference until its
   // callback fires; the destructor drains the mailboxes and waits for zero.

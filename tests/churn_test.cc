@@ -3,7 +3,8 @@
 // budgets, membership-pull coalescing, a departure whose moves fail, stale
 // client suspicions after a revival, and a history-checked churn chaos
 // schedule (join → failure → rejoin → departure under live traffic) per
-// placement policy, plus one on persistent stores.
+// placement policy, plus one on persistent stores, and a join racing a
+// failure report on one manager.
 #include <unistd.h>
 
 #include <algorithm>
@@ -366,6 +367,43 @@ TEST(DepartTest, FailedMoveKeepsThePartitionWithTheDepartingInstance) {
     if (table.OwnerOf(table.PartitionOfKey(key)) == 2) continue;
     EXPECT_TRUE(client->Lookup(key).ok()) << key;
   }
+}
+
+// ---- a join racing a failure report ---------------------------------------
+
+TEST(ManagerRaceTest, JoinRacesAFailureReport) {
+  // The join's migrations and the failure's repairs both draw request
+  // sequence numbers from the one manager while they run on different
+  // threads; under TSan this is the regression test for that counter.
+  LocalClusterOptions options;
+  options.num_instances = 4;
+  options.num_partitions = 64;
+  options.cluster.num_replicas = 1;
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto client = (*cluster)->CreateClient();
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(client->Insert("race" + std::to_string(i), "v").ok());
+  }
+  (*cluster)->FlushAllAsyncReplication();
+  (*cluster)->KillInstance(3);
+
+  std::atomic<bool> go{false};
+  Status failure;
+  std::thread reporter([&] {
+    while (!go.load()) std::this_thread::yield();
+    failure = (*cluster)->manager(0)->HandleFailure(3);
+  });
+  go = true;
+  const Result<InstanceId> joined = (*cluster)->JoinNewInstance();
+  reporter.join();
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  ASSERT_TRUE(failure.ok()) << failure.ToString();
+
+  const MembershipTable table = (*cluster)->TableSnapshot();
+  EXPECT_FALSE(table.Instance(3).alive);
+  EXPECT_TRUE(table.Instance(*joined).alive);
+  (*cluster)->FlushAllAsyncReplication();
 }
 
 // ---- stale suspicion after a revival -------------------------------------

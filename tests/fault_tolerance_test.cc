@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "core/local_cluster.h"
@@ -49,9 +51,10 @@ TEST(FaultToleranceTest, LossyNetworkRetriesConverge) {
   EXPECT_GT(lossy_options.fault_plan->stats().dropped_requests, 0u);
 }
 
-// The client's metrics registry must mirror ZhtClientStats exactly —
-// retries under a seeded lossy plan, failovers under a killed node — and
-// carry per-op end-to-end latency histograms for the issued workload.
+// ZhtClientStats is a view of the client's registry: every field equals its
+// `client.<field>` counter — retries under a seeded lossy plan, failovers
+// under a killed node — each name appears once, and the registry carries
+// per-op end-to-end latency histograms for the issued workload.
 TEST(FaultToleranceTest, ClientMetricsCountersMatchStatsUnderFaults) {
   LocalClusterOptions lossy_options;
   lossy_options.num_instances = 4;
@@ -70,14 +73,27 @@ TEST(FaultToleranceTest, ClientMetricsCountersMatchStatsUnderFaults) {
   lossy_options.fault_plan->RemoveRule(lossy);
 
   MetricsSnapshot snapshot = client->metrics().Snapshot();
-  const ZhtClientStats& stats = client->stats();
+  const ZhtClientStats stats = client->stats();
   EXPECT_GT(stats.retries, 0u);
-  EXPECT_EQ(snapshot.ValueOf("client.retries"),
-            static_cast<std::int64_t>(stats.retries));
-  EXPECT_EQ(snapshot.ValueOf("client.failovers"),
-            static_cast<std::int64_t>(stats.failovers));
-  EXPECT_EQ(snapshot.ValueOf("client.redirects_followed"),
-            static_cast<std::int64_t>(stats.redirects_followed));
+  EXPECT_EQ(stats.ops, 240u);
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"client.ops", stats.ops},
+      {"client.redirects_followed", stats.redirects_followed},
+      {"client.failovers", stats.failovers},
+      {"client.retries", stats.retries},
+      {"client.nodes_reported_dead", stats.nodes_reported_dead},
+      {"client.shed_backoffs", stats.shed_backoffs},
+      {"client.membership_pulls", stats.membership_pulls},
+  };
+  for (const auto& [name, value] : fields) {
+    ASSERT_NE(snapshot.Find(name), nullptr) << name;
+    EXPECT_EQ(snapshot.ValueOf(name), static_cast<std::int64_t>(value))
+        << name;
+  }
+  std::set<std::string> names;
+  for (const MetricValue& entry : snapshot.entries) {
+    EXPECT_TRUE(names.insert(entry.name).second) << entry.name << " twice";
+  }
   const MetricValue* insert_hist =
       snapshot.Find("client.op.insert.latency_ns");
   ASSERT_NE(insert_hist, nullptr);
@@ -115,7 +131,7 @@ TEST(FaultToleranceTest, ClientFailoverCounterTracksKilledPrimary) {
   }
   EXPECT_GT(served, 0);
 
-  const ZhtClientStats& stats = client->stats();
+  const ZhtClientStats stats = client->stats();
   MetricsSnapshot snapshot = client->metrics().Snapshot();
   EXPECT_GT(stats.failovers, 0u);
   EXPECT_EQ(snapshot.ValueOf("client.failovers"),

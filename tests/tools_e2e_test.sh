@@ -61,7 +61,12 @@ test "$(cli mget k2)" = "k2 v2"
 
 step "ping and stats"
 cli ping 2 | grep -q OK
-cli stats 0 | grep -q "instance = 0"
+cli insert stats-key v | grep -q OK
+cli stats 0 > "$WORK/stats0.txt"
+grep -q "instance = 0" "$WORK/stats0.txt"
+grep -q "^server.ops = " "$WORK/stats0.txt"
+# One name per event: no metric name appears twice.
+test -z "$(sed -E 's/( = |: ).*//' "$WORK/stats0.txt" | sort | uniq -d)"
 
 step "bench over cached TCP"
 cli bench 100 | grep -q "0 failures"

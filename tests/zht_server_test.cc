@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "core/zht_server.h"
@@ -286,8 +287,8 @@ TEST_F(ZhtServerUnitTest, RemoveMissingKeyNotFound) {
   EXPECT_EQ(resp.status_as_object().code(), StatusCode::kNotFound);
 }
 
-// STATS now answers with the versioned structured metrics encoding; the
-// legacy text keys survive as named gauges/counters.
+// STATS answers with the versioned structured metrics encoding: the
+// instance-level gauges plus one `server.*` name per event.
 TEST_F(ZhtServerUnitTest, StatsReturnsDecodableStructuredMetrics) {
   auto server = MakeServer(0);
   std::string key = KeyOwnedBy(0);
@@ -304,7 +305,7 @@ TEST_F(ZhtServerUnitTest, StatsReturnsDecodableStructuredMetrics) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_EQ(snapshot->ValueOf("instance"), 0);
   EXPECT_EQ(snapshot->ValueOf("entries"), 1);
-  EXPECT_GE(snapshot->ValueOf("ops"), 2);
+  EXPECT_GE(snapshot->ValueOf("server.ops"), 2);
   // Acceptance: at least one per-opcode latency histogram with samples.
   const MetricValue* insert_hist =
       snapshot->Find("server.op.insert.latency_ns");
@@ -339,11 +340,10 @@ TEST_F(ZhtServerUnitTest, StatsCountersTrackScriptedOps) {
   server->Handle(DataRequest(OpCode::kInsert, other, "x"));
   MetricsSnapshot after = snapshot_now();
 
-  // `ops` counts store-applied operations only — the redirected insert
-  // never reaches the store; the per-opcode histograms time every handled
-  // request (what a client waits for), so the redirect IS in there.
-  EXPECT_EQ(after.ValueOf("ops") - before.ValueOf("ops"), 3);
-  EXPECT_EQ(after.ValueOf("redirects") - before.ValueOf("redirects"), 1);
+  // `server.ops` counts store-applied operations only — the redirected
+  // insert never reaches the store; the per-opcode histograms time every
+  // handled request (what a client waits for), so the redirect IS in there.
+  EXPECT_EQ(after.ValueOf("server.ops") - before.ValueOf("server.ops"), 3);
   EXPECT_EQ(after.ValueOf("server.redirects") -
                 before.ValueOf("server.redirects"),
             1);
@@ -362,8 +362,16 @@ TEST_F(ZhtServerUnitTest, StatsCountersTrackScriptedOps) {
             1u);
 }
 
-// Replication fan-out lands in the histogram and sync/async counters.
+// Replication fan-out lands in the histogram and sync/async counters; the
+// rebuild, anti-entropy and migration counters reach STATS as well, and
+// STATS names each event once, with the value stats() reports for it.
 TEST_F(ZhtServerUnitTest, StatsReplicationMetrics) {
+  // The chain members of instance 0's partitions, reachable over loopback.
+  std::vector<std::unique_ptr<ZhtServer>> peers;
+  for (InstanceId id : {1u, 2u}) {
+    peers.push_back(MakeServer(id, /*replicas=*/2));
+    network_.Register(addresses_[id], peers.back()->AsyncHandler());
+  }
   auto server = MakeServer(0, /*replicas=*/2);
   std::string key = KeyOwnedBy(0);
   EXPECT_TRUE(server->Handle(DataRequest(OpCode::kInsert, key, "v")).ok());
@@ -376,8 +384,73 @@ TEST_F(ZhtServerUnitTest, StatsReplicationMetrics) {
   EXPECT_EQ(fanout->histogram.sum, 2u);  // two replicas per chain write
   EXPECT_EQ(snapshot.ValueOf("server.replication.sync"), 1);
   EXPECT_EQ(snapshot.ValueOf("server.replication.async"), 1);
-  EXPECT_EQ(snapshot.ValueOf("replications_sync"), 1);
-  EXPECT_EQ(snapshot.ValueOf("replications_async"), 1);
+
+  // A repair of the in-sync chain only probes; after a stray write to the
+  // secondary the next repair rebuilds it; then the partition migrates.
+  const PartitionId p = table_.PartitionOfKey(key);
+  ASSERT_TRUE(server->RepairPartition(p).ok());
+  std::string stray;
+  for (int i = 0; stray.empty(); ++i) {
+    std::string candidate = "stray-" + std::to_string(i);
+    if (table_.PartitionOfKey(candidate) == p) stray = candidate;
+  }
+  Request leg = DataRequest(OpCode::kInsert, stray, "x");
+  leg.server_origin = true;
+  leg.replica_index = 1;
+  ASSERT_TRUE(peers[0]->Handle(std::move(leg)).ok());
+  ASSERT_TRUE(server->RepairPartition(p).ok());
+  ASSERT_TRUE(server->MigratePartitionTo(p, addresses_[1]).ok());
+  server->FlushAsyncReplication();
+
+  snapshot = server->MetricsSnapshotNow();
+  std::set<std::string> names;
+  for (const MetricValue& entry : snapshot.entries) {
+    EXPECT_TRUE(names.insert(entry.name).second) << entry.name << " twice";
+  }
+  const ZhtServerStats stats = server->stats();
+  EXPECT_EQ(stats.antientropy_probes, 4u);
+  EXPECT_EQ(stats.antientropy_clean, 3u);
+  EXPECT_EQ(stats.rebuilds_started, 1u);
+  EXPECT_EQ(stats.rebuilds_completed, 1u);
+  EXPECT_EQ(stats.rebuild_pairs_streamed, 1u);
+  EXPECT_EQ(stats.migrations_out, 1u);
+  EXPECT_EQ(stats.migration_pairs_streamed, 1u);
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"server.ops", stats.ops},
+      {"server.redirects", stats.redirects},
+      {"server.replication.sync", stats.replications_sync},
+      {"server.replication.async", stats.replications_async},
+      {"server.migrations.out", stats.migrations_out},
+      {"server.migrations.in", stats.migrations_in},
+      {"server.migration.pairs_streamed", stats.migration_pairs_streamed},
+      {"server.migration.bytes_streamed", stats.migration_bytes_streamed},
+      {"server.broadcasts", stats.broadcasts},
+      {"server.appends.duplicate_dropped", stats.duplicate_appends_dropped},
+      {"server.antientropy.probes", stats.antientropy_probes},
+      {"server.antientropy.clean", stats.antientropy_clean},
+      {"server.rebuild.started", stats.rebuilds_started},
+      {"server.rebuild.completed", stats.rebuilds_completed},
+      {"server.rebuild.pairs_streamed", stats.rebuild_pairs_streamed},
+      {"server.rebuild.retries", stats.rebuild_retries},
+      {"server.cache.hit", stats.hot_cache_hits},
+      {"server.cache.miss", stats.hot_cache_misses},
+      {"server.cache.invalidate", stats.hot_cache_invalidations},
+      {"server.cache.drop", stats.hot_cache_drops},
+      {"server.admission.shed", stats.sheds},
+  };
+  for (const auto& [name, value] : fields) {
+    ASSERT_NE(snapshot.Find(name), nullptr) << name;
+    EXPECT_EQ(snapshot.ValueOf(name), static_cast<std::int64_t>(value))
+        << name;
+  }
+  // Besides the instance-level gauges, every name carries its component.
+  for (const MetricValue& entry : snapshot.entries) {
+    if (entry.name == "instance" || entry.name == "epoch" ||
+        entry.name == "partitions_held" || entry.name == "entries") {
+      continue;
+    }
+    EXPECT_NE(entry.name.find('.'), std::string::npos) << entry.name;
+  }
 }
 
 // ---- Partition transfer on persistent stores -----------------------------
