@@ -7,11 +7,13 @@
 //  2. Reactor scaling: a real ZhtServer (one partition-ownership shard per
 //     reactor, DESIGN.md §9) behind the multi-reactor epoll server at
 //     1/2/4/8 event loops, against a thread-per-request baseline over the
-//     same store. Clients shard their connections by key, so placement
-//     re-homes each connection to the reactor owning its keys and the
-//     shard mailboxes see (almost) no cross-reactor forwards — the sweep
-//     records per-reactor forwarded_ops / mailbox_depth_p99 /
-//     owned_partitions alongside throughput. The paper scales across
+//     same store. A shard is drained inline by whichever thread posts to
+//     it; clients shard their connections by key, so placement re-homes
+//     each connection to the one reactor that serves its keys' shard, and
+//     almost no post finds its shard mid-drain on another reactor and has
+//     to hand its task over — the sweep records per-reactor forwarded_ops
+//     (those hand-offs) / mailbox_depth_p99 / owned_partitions alongside
+//     throughput. The paper scales across
 //     cores with one single-threaded instance per core; reactors drive
 //     the same cores from one instance. Expect ~linear speedup up to the
 //     host's core count (≥2.5× at 4 reactors on a ≥4-core host); on fewer
@@ -224,12 +226,12 @@ int main() {
     options.num_reactors = reactors;
     auto server = EpollServer::Create(options, zht->AsyncHandler());
     if (!server.ok()) return 1;
-    // Bind shard s to reactor s, install partition-affine placement, start.
+    // Install partition-affine placement (shard s -> reactor s), start.
     LocalCluster::WireReactors(*zht, **server);
     double tput = RunShardedStorm((*server)->address(), kStormThreads,
                                   kStormOpsEach, table, reactors);
 
-    // Per-reactor mailbox telemetry, read while the executors are live.
+    // Per-reactor mailbox telemetry, read while the reactors are live.
     double forwarded = 0;
     double mailbox_p99 = 0;
     for (int s = 0; s < reactors; ++s) {
@@ -261,9 +263,9 @@ int main() {
           prefix + ".shard." + std::to_string(s) + ".owned_partitions",
           static_cast<double>(owned[s]));
     }
-    // Key-sharded connections re-home to their owning reactor, so almost
-    // nothing crosses a mailbox; a high ratio means placement routing
-    // broke. Enforced in smoke mode so `ctest -L bench_smoke` catches it.
+    // Key-sharded connections re-home to their shard's reactor, so almost
+    // no post is handed to another thread's drain; a high ratio means
+    // placement routing broke. Enforced in smoke mode so `ctest -L bench_smoke` catches it.
     if (SmokeMode() && forwarded_ratio >= 0.05) {
       std::fprintf(stderr,
                    "FAIL: forwarded ratio %.3f >= 0.05 at %d reactors with "

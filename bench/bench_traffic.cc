@@ -6,7 +6,7 @@
 //     at 99/1 and 50/50 read/write mixes, value sizes 134 B -> 1 MB, each
 //     run with the per-shard hot-key cache off and on. Reports ops/sec,
 //     p50/p99/p999 per mix, the cache hit ratio, and the on/off speedup.
-//   * flash-crowd overload with shard executors deliberately stalled:
+//   * flash-crowd overload with every shard's drain deliberately stalled:
 //     with admission control ON the server sheds kUnavailable + a
 //     retry-after hint at a bounded mailbox depth; with it OFF the same
 //     schedule grows the mailbox without bound. Reports shed/served
@@ -18,10 +18,10 @@
 // unbudgeted run exceeds. Full mode adds the acceptance bar: cache-on
 // throughput >= 1.5x cache-off for the zipf(1.1) 99/1 134 B mix.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +33,7 @@
 #include "core/zht_server.h"
 #include "membership/membership_table.h"
 #include "net/loopback.h"
+#include "tests/shard_stall.h"
 
 namespace zht::bench {
 namespace {
@@ -50,11 +51,13 @@ struct Instance {
   std::unique_ptr<ZhtServer> server;
   std::uint64_t seq = 0;
 
-  explicit Instance(std::size_t cache_entries, std::size_t shed_budget = 0) {
+  explicit Instance(std::size_t cache_entries, std::size_t shed_budget = 0,
+                    StoreFactory store_factory = nullptr) {
     MembershipTable table = MembershipTable::CreateUniform(
         kPartitions, {NodeAddress{"10.0.0.1", 50000}});
     transport = std::make_unique<LoopbackTransport>(&network);
     ZhtServerOptions options;
+    options.store_factory = std::move(store_factory);
     options.cluster.hot_cache_entries = cache_entries;
     options.cluster.shed_queue_budget = shed_budget;
     server = std::make_unique<ZhtServer>(std::move(table), options,
@@ -184,7 +187,7 @@ MixResult RunMix(Instance& inst, const Shape& shape, double read_fraction,
   return result;
 }
 
-// ---- Overload: stalled executors, admission control on vs off -------------
+// ---- Overload: stalled drains, admission control on vs off ---------------
 
 struct OverloadResult {
   std::uint64_t shed = 0;
@@ -195,26 +198,25 @@ struct OverloadResult {
   bool bad_shed_envelope = false;  // a shed without kUnavailable+hint
 };
 
-OverloadResult RunOverloadInThread(std::size_t shed_budget, std::size_t ops,
-                                   const std::vector<std::string>& keys,
-                                   const std::string& payload) {
+OverloadResult RunOverload(std::size_t shed_budget, std::size_t ops,
+                           const std::vector<std::string>& keys,
+                           const std::string& payload) {
   // Cache off: inserts and lookups must all try to queue, nothing may be
   // answered from the ingress fast path.
-  Instance inst(/*cache_entries=*/0, shed_budget);
+  ShardStall stall;
+  Instance inst(/*cache_entries=*/0, shed_budget, stall.Factory());
   const std::size_t num_shards = inst.server->num_shards();
   for (std::size_t s = 0; s < num_shards; ++s) {
-    // Bound to an executor nobody runs yet: posts pile up in the mailbox,
-    // which is exactly the overload admission control must catch at
-    // ingress. The bench thread becomes that executor later to drain.
-    inst.server->BindShardExecutor(s, 0, [] {});
+    // Every shard's drain held inside a store Put: posts pile up in the
+    // mailbox, which is exactly the overload admission control must catch
+    // at ingress. Release() below lets the holders drain it.
+    stall.Hold(*inst.server, s);
   }
 
   FlashCrowdGenerator flash(keys.size(), 0.9, /*seed=*/7);
-  // Shared state only: admitted ops complete later (during the drain
-  // below), long after this loop's locals are gone.
-  auto state = std::make_shared<OverloadResult>();
-  auto completions = std::make_shared<std::uint64_t>(0);
-  std::uint64_t max_queued = 0;
+  OverloadResult result;
+  // Bumped by the holders' drains after Release(), one thread per shard.
+  std::atomic<std::uint64_t> completions{0};
   for (std::size_t i = 0; i < ops; ++i) {
     const std::size_t rank = flash.Next();
     Request request;
@@ -224,54 +226,36 @@ OverloadResult RunOverloadInThread(std::size_t shed_budget, std::size_t ops,
     request.value = payload;
     request.epoch = inst.server->table().epoch();
     inst.server->HandleAsync(
-        std::move(request), [state, completions](Response&& resp) {
-          // While executors are stalled, an inline completion can only be
-          // a shed; admitted inserts ack OK from the drain.
+        std::move(request), [&result, &completions](Response&& resp) {
+          // While drains are stalled, an inline completion can only be a
+          // shed; admitted inserts ack OK from the drain.
           const StatusCode code = static_cast<StatusCode>(resp.status);
           if (code == StatusCode::kUnavailable) {
-            ++state->shed;
+            ++result.shed;
             if (resp.retry_after_us == 0) {
-              state->bad_shed_envelope = true;
+              result.bad_shed_envelope = true;
             } else {
-              if (state->min_retry_after == 0 ||
-                  resp.retry_after_us < state->min_retry_after) {
-                state->min_retry_after = resp.retry_after_us;
+              if (result.min_retry_after == 0 ||
+                  resp.retry_after_us < result.min_retry_after) {
+                result.min_retry_after = resp.retry_after_us;
               }
-              state->max_retry_after =
-                  std::max(state->max_retry_after, resp.retry_after_us);
+              result.max_retry_after =
+                  std::max(result.max_retry_after, resp.retry_after_us);
             }
           }
-          ++*completions;
+          completions.fetch_add(1, std::memory_order_relaxed);
         });
     std::uint64_t depth = 0;
     for (std::size_t s = 0; s < num_shards; ++s) {
       depth += inst.server->ShardQueuedNow(s);
     }
-    max_queued = std::max(max_queued, depth);
+    result.max_queued = std::max(result.max_queued, depth);
   }
 
-  // Become executor 0 and drain everything that was admitted, so every
-  // callback fires and the server can shut down cleanly.
-  inst.server->EnterExecutorThread(0);
-  inst.server->RunExecutor(0);
-  OverloadResult result = *state;
-  result.max_queued = max_queued;
-  result.served = *completions - result.shed;
-  return result;
-}
-
-OverloadResult RunOverload(std::size_t shed_budget, std::size_t ops,
-                           const std::vector<std::string>& keys,
-                           const std::string& payload) {
-  // Fresh thread per run: EnterExecutorThread marks the calling thread as
-  // an executor in thread-local state keyed by server address, and a
-  // later server allocated at the same address would read the stale mark
-  // and drain inline instead of queueing.
-  OverloadResult result;
-  std::thread worker([&] {
-    result = RunOverloadInThread(shed_budget, ops, keys, payload);
-  });
-  worker.join();
+  // Let the holders drain everything that was admitted, so every callback
+  // fires before the counts are read and the server shuts down cleanly.
+  stall.Release();
+  result.served = completions.load() - result.shed;
   return result;
 }
 
@@ -365,7 +349,7 @@ int main() {
   }
 
   Banner("Flash-crowd overload",
-         "stalled executors; admission control on (budget) vs off");
+         "stalled shard drains; admission control on (budget) vs off");
   PrintRow({"budget", "shed", "served", "shed_ratio", "max_queued",
             "retry_us"},
            13);

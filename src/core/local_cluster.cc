@@ -105,17 +105,10 @@ Result<NodeAddress> LocalCluster::Expose(std::shared_ptr<HandlerSlot> slot,
 void LocalCluster::WireReactors(ZhtServer& server, EpollServer& es) {
   ZhtServer* srv = &server;
   const int reactors = es.num_reactors();
-  for (int e = 0; e < reactors; ++e) {
-    es.SetReactorHooks(
-        e, [srv, e] { srv->EnterExecutorThread(e); },
-        [srv, e] { srv->RunExecutor(e); });
-  }
-  for (std::size_t shard = 0; shard < srv->num_shards(); ++shard) {
-    const int executor = static_cast<int>(shard % reactors);
-    srv->BindShardExecutor(shard, executor, es.ReactorWaker(executor));
-  }
-  es.SetPlacement(
-      [srv](const Request& request) { return srv->PreferredExecutor(request); });
+  es.SetPlacement([srv, reactors](const Request& request) {
+    const int shard = srv->PreferredShard(request);
+    return shard < 0 ? -1 : shard % reactors;
+  });
   es.Start();
 }
 
@@ -177,9 +170,9 @@ Status LocalCluster::Boot() {
             options_.instances_per_node;
   }
 
-  // 2. Servers. Over sockets, one shard per reactor so each event loop
-  // owns a disjoint partition set end to end; the loops only start once
-  // the executors are bound.
+  // 2. Servers. Over sockets, one shard per reactor so placement can give
+  // each event loop a disjoint partition set to drain; the loops only
+  // start once placement is installed.
   const bool sockets = options_.transport != ClusterTransport::kLoopback;
   for (std::uint32_t i = 0; i < options_.num_instances; ++i) {
     auto transport = MakeTransport(instance_addresses_[i]);

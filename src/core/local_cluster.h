@@ -110,9 +110,10 @@ class LocalCluster {
 
   void FlushAllAsyncReplication();
 
-  // Binds a server's shard mailboxes to an epoll server's reactors
-  // (executor identity, wakers, connection placement) and starts the
-  // loops. Also used by the standalone zht-server binary.
+  // Installs connection placement on an epoll server and starts its
+  // loops: a connection moves to reactor s % num_reactors, where s is the
+  // shard of its first request's key, so one reactor drains each shard.
+  // Also used by the standalone zht-server binary.
   static void WireReactors(ZhtServer& server, EpollServer& es);
 
  private:

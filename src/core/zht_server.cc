@@ -84,14 +84,6 @@ constexpr int kRebuildMaxAttempts = 3;
 // Payload bytes per TransferData carrier.
 constexpr std::size_t kTransferBatchBytes = 256 * 1024;
 
-// Executor identity of the current thread, per server. A reactor registers
-// itself via EnterExecutorThread; every other thread reads as -1.
-struct ExecutorTls {
-  const void* owner = nullptr;
-  int executor = -1;
-};
-thread_local ExecutorTls tls_executor;
-
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 // Adds one store's durability figures to `logs` unless a store sharing
@@ -229,7 +221,6 @@ ZhtServer::ZhtServer(MembershipTable table, const ZhtServerOptions& options,
       metrics_.GetCounter("server.cache.invalidate");
   counters_.hot_cache_drops = metrics_.GetCounter("server.cache.drop");
   counters_.sheds = metrics_.GetCounter("server.admission.shed");
-  counters_.mailbox_full = metrics_.GetCounter("reactor.mailbox_full");
 
   const std::size_t num_finishers =
       std::max<std::size_t>(2, std::min<std::size_t>(4, num_shards));
@@ -243,18 +234,12 @@ ZhtServer::ZhtServer(MembershipTable table, const ZhtServerOptions& options,
 ZhtServer::~ZhtServer() {
   stopping_.store(true, std::memory_order_release);
   // Contract: the hosting front-end has stopped (joined) its reactors
-  // before destroying the server, so this thread may drain every shard
-  // itself. Finishers and log flushers are still running and may Post
-  // concurrently — the unbind is an atomic store and the waker stays
-  // callable (the front-end's fds outlive this server).
-  for (auto& shard : shards_) {
-    shard->executor.store(-1, std::memory_order_release);
-  }
-  // Drain remaining mailbox work and wait for every in-flight request to
-  // complete (durability callbacks park on log flushers; replication
-  // finishers are still running and are stopped only after this).
+  // before destroying the server. Drain remaining mailbox work and wait
+  // for every in-flight request to complete (durability callbacks park on
+  // log flushers; replication finishers are still running, may Post
+  // concurrently, and are stopped only after this).
   for (;;) {
-    for (auto& shard : shards_) DrainShared(*shard);
+    for (auto& shard : shards_) Drain(*shard);
     if (inflight_.load(std::memory_order_acquire) == 0) break;
     std::unique_lock<std::mutex> lock(idle_mu_);
     idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
@@ -285,95 +270,32 @@ ZhtServer::~ZhtServer() {
 // Mailbox machinery
 // ---------------------------------------------------------------------------
 
-int ZhtServer::CurrentExecutor() const {
-  return tls_executor.owner == this ? tls_executor.executor : -1;
-}
-
-void ZhtServer::EnterExecutorThread(int executor) {
-  tls_executor.owner = this;
-  tls_executor.executor = executor;
-}
-
-void ZhtServer::BindShardExecutor(std::size_t shard, int executor,
-                                  std::function<void()> waker) {
-  if (shard >= shards_.size() || executor < 0) return;
-  // Every executor gets its own SPSC ring into every shard (any reactor may
-  // forward to any shard). Binds happen on the setup thread before traffic.
-  for (auto& s : shards_) {
-    while (s->rings.size() <= static_cast<std::size_t>(executor)) {
-      s->rings.push_back(
-          std::make_unique<SpscTaskRing>(options_.mailbox_ring_capacity));
-    }
-  }
-  shards_[shard]->executor.store(executor, std::memory_order_release);
-  shards_[shard]->waker = std::move(waker);
-}
-
 void ZhtServer::Post(Shard& shard, ShardTask task) {
-  Enqueue(shard, std::move(task));
-  Kick(shard);
-}
-
-void ZhtServer::Enqueue(Shard& shard, ShardTask task) {
-  const int from = CurrentExecutor();
-  const int owner = shard.executor.load(std::memory_order_acquire);
-  if (owner >= 0 && from != owner) {
-    // Cross-reactor forward: a message into the owner's mailbox, not a
-    // lock on the owner's state.
-    shard.forwarded.fetch_add(1, kRelaxed);
-  }
-  if (from >= 0 && static_cast<std::size_t>(from) < shard.rings.size()) {
-    if (!shard.rings[from]->Push(std::move(task))) {
-      // Bounded ring overflowed; spill to the MPSC queue (unbounded) so
-      // the producer never blocks inside its own event loop.
-      counters_.mailbox_full->Increment();
-      shard.overflow.Push(std::move(task));
-    }
-  } else {
-    shard.overflow.Push(std::move(task));
-  }
-  // seq_cst pairs with DrainShared's release-then-recheck (see there).
+  shard.mailbox.Push(std::move(task));
+  // seq_cst pairs with Drain's release-then-recheck (see there).
   shard.queued.fetch_add(1, std::memory_order_seq_cst);
+  // Nothing ran here: another thread held the drain and runs the task.
+  if (Drain(shard) == 0) shard.forwarded.fetch_add(1, kRelaxed);
 }
 
-void ZhtServer::Kick(Shard& shard) {
-  const int owner = shard.executor.load(std::memory_order_acquire);
-  if (owner >= 0) {
-    if (CurrentExecutor() == owner) {
-      DrainBound(shard);
-    } else if (shard.waker) {
-      shard.waker();
-    }
-    return;
-  }
-  DrainShared(shard);
-}
-
-void ZhtServer::DrainBound(Shard& shard) {
-  // Owner executor thread only; `draining` guards against a task posting
-  // back into its own shard re-entering the drain.
-  if (shard.draining) return;
-  if (shard.queued.load(std::memory_order_acquire) == 0) return;
-  shard.draining = true;
-  DrainAll(shard);
-  shard.draining = false;
-}
-
-void ZhtServer::DrainShared(Shard& shard) {
-  // Unbound shards: whichever thread posts drains, serialized by a CAS on
-  // `active`. A loser returns — the winner's drain loop covers its task.
-  // That hand-off is a store-then-load on both sides (the loser bumps
-  // `queued` then reads `active`; the winner clears `active` then reads
-  // `queued`), so all four accesses are seq_cst: with weaker orders both
-  // may read the stale value, and the task strands in the mailbox.
+std::size_t ZhtServer::Drain(Shard& shard) {
+  // Whichever thread posts drains, serialized by a CAS on `active`. A
+  // loser returns — the winner's drain loop covers its task. That hand-off
+  // is a store-then-load on both sides (the loser bumps `queued` then
+  // reads `active`; the winner clears `active` then reads `queued`), so
+  // all four accesses are seq_cst: with weaker orders both may read the
+  // stale value, and the task strands in the mailbox.
+  std::size_t total = 0;
   while (shard.queued.load(std::memory_order_seq_cst) > 0) {
-    if (shard.active.exchange(true, std::memory_order_seq_cst)) return;
+    if (shard.active.exchange(true, std::memory_order_seq_cst)) break;
     const std::size_t ran = DrainAll(shard);
     shard.active.store(false, std::memory_order_seq_cst);
+    total += ran;
     // queued > 0 with nothing poppable means a producer is mid-push (the
     // MPSC link window); give it a beat and re-check.
     if (ran == 0) std::this_thread::yield();
   }
+  return total;
 }
 
 std::size_t ZhtServer::DrainAll(Shard& shard) {
@@ -382,15 +304,7 @@ std::size_t ZhtServer::DrainAll(Shard& shard) {
   std::size_t ran = 0;
   for (;;) {
     ShardTask task;
-    bool got = false;
-    for (auto& ring : shard.rings) {
-      if (ring->Pop(&task)) {
-        got = true;
-        break;
-      }
-    }
-    if (!got) got = shard.overflow.Pop(&task);
-    if (!got) break;
+    if (!shard.mailbox.Pop(&task)) break;
     shard.queued.fetch_sub(1, std::memory_order_acq_rel);
     ++ran;
     task(shard);
@@ -398,18 +312,9 @@ std::size_t ZhtServer::DrainAll(Shard& shard) {
   return ran;
 }
 
-void ZhtServer::RunExecutor(int executor) {
-  for (auto& shard : shards_) {
-    if (shard->executor.load(std::memory_order_acquire) == executor) {
-      DrainBound(*shard);
-    }
-  }
-}
-
-int ZhtServer::PreferredExecutor(const Request& request) const {
+int ZhtServer::PreferredShard(const Request& request) const {
   if (!IsDataOp(request.op)) return -1;
-  return ShardForPartition(space_.PartitionOfKey(request.key))
-      .executor.load(std::memory_order_acquire);
+  return static_cast<int>(space_.PartitionOfKey(request.key) % shards_.size());
 }
 
 void ZhtServer::OnRequestComplete() {

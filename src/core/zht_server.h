@@ -10,22 +10,17 @@
 // disjoint set of partitions end-to-end — stores, membership-table copy,
 // append-dedup window, migration locks — and only ever executes on one
 // thread at a time, so the single-key hot path acquires ZERO mutexes:
-// ingress computes the partition from an immutable PartitionSpace copy,
-// posts a task into the shard's mailbox, and the owning reactor drains it.
+// ingress computes the partition from an immutable PartitionSpace copy and
+// posts a task into the shard's mailbox.
 //
-// Shard mailboxes: one bounded SPSC ring per bound executor (reactor) plus
-// a lock-free MPSC queue for every other producer (finishers, durability
-// flushers, external threads) and for ring overflow. A request arriving on
-// the wrong reactor is forwarded through the target shard's mailbox — a
-// message, not a lock (`reactor.forwards` counts these; `reactor.
-// mailbox_full` counts ring overflows that spilled to the MPSC queue).
-//
-// Execution model:
-//   * bound shard (BindShardExecutor): only the owning reactor thread runs
-//     shard tasks — it drains after enqueueing its own posts and when its
-//     waker (eventfd) fires for cross-thread posts;
-//   * unbound shard (loopback clusters, unit tests): whichever thread
-//     posts drains, serialized by a CAS on the shard's `active` flag.
+// Shard mailboxes: one lock-free MPSC queue per shard, drained by
+// whichever thread posts — a reactor, a finisher, a log flusher or a test.
+// A CAS on the shard's `active` flag elects one drainer at a time; a post
+// that finds the shard mid-drain returns at once and leaves its task to
+// that drainer (a hand-off: `reactor.forwards` counts these). A multi-
+// reactor front end keeps hand-offs rare by re-homing each connection to
+// reactor `PreferredShard(first request) % num_reactors`
+// (LocalCluster::WireReactors).
 //
 // Cross-partition operations are explicit scatter/gather messages with
 // completion counting: a BATCH spanning owners scatters per-shard groups
@@ -40,9 +35,9 @@
 //
 // Blocking adapters (Handle, MigratePartitionTo, RepairPartition,
 // TotalEntries, MetricsSnapshotNow; all built on Await in common/await.h)
-// exist for tests, tools, and managers. Never call them from a reactor
-// thread that drives this server's shards — they wait on work those shards
-// must execute.
+// exist for tests, tools, and managers. Never call them from inside a
+// shard task or a callback a drain runs: that thread holds a shard's drain,
+// and the work they wait on may be queued behind it.
 #pragma once
 
 #include <algorithm>
@@ -101,11 +96,9 @@ struct ZhtServerOptions {
   StoreFactory store_factory;
   // Partition-ownership shards. 0 = auto (min(4, hardware_concurrency)).
   // A multi-reactor front-end passes its reactor count so shards and
-  // reactors pair 1:1 (shard s bound to executor s % num_reactors).
+  // reactors pair 1:1: connections whose first key lives on shard s are
+  // re-homed to reactor s % num_reactors, which then drains shard s.
   std::size_t num_shards = 0;
-  // Capacity of each bounded SPSC cross-reactor mailbox ring. Overflow
-  // spills to the shard's MPSC queue and bumps `reactor.mailbox_full`.
-  std::size_t mailbox_ring_capacity = 1024;
 };
 
 // A by-value view: stats() fills each field from its registry counter, the
@@ -158,7 +151,8 @@ class ZhtServer {
 
   // The transport-facing entry point: routes to the owning shard and
   // invokes `done` exactly once — inline for redirects/rejections and the
-  // no-durability hot path, from a flusher or finisher thread otherwise.
+  // no-durability hot path (on another thread when the shard was mid-drain
+  // there), from a flusher or finisher thread otherwise.
   // Safe to call from any thread, including reactor threads.
   void HandleAsync(Request&& request, ResponseCallback done);
   AsyncRequestHandler AsyncHandler() {
@@ -200,28 +194,18 @@ class ZhtServer {
   InstanceId self() const { return options_.self; }
   ZhtServerStats stats() const;
 
-  // --- shard/executor topology (wired by the hosting front-end) ---
+  // --- shard topology (read by the hosting front-end) ---
 
   std::size_t num_shards() const { return shards_.size(); }
-  // Executor that owns the shard of `request`'s key (-1 for control ops or
-  // unbound shards). The EpollServer uses this as its connection-placement
-  // hint so a well-sharded client's requests arrive on the owning reactor.
-  int PreferredExecutor(const Request& request) const;
-  // Binds shard `shard` to executor `executor` (a reactor index); `waker`
-  // must wake that executor's event loop so it drains the shard. Call
-  // before traffic starts, from the setup thread.
-  void BindShardExecutor(std::size_t shard, int executor,
-                         std::function<void()> waker);
-  // Registers the calling thread as executor `executor` for this server.
-  // Reactor on-start hook.
-  void EnterExecutorThread(int executor);
-  // Drains every shard bound to `executor`. Reactor on-wake hook; must be
-  // called from the thread that entered as `executor`.
-  void RunExecutor(int executor);
+  // The shard that owns `request`'s key (-1 for control ops). The
+  // front end's connection placement maps it to a reactor, so a
+  // well-sharded client's requests arrive where their shard is drained.
+  int PreferredShard(const Request& request) const;
 
   // --- per-shard telemetry (bench/tooling) ---
 
-  // Cross-executor posts into each shard's mailbox ("forwarded ops").
+  // Posts into `shard` that found it mid-drain and left their task to that
+  // drainer ("forwarded ops", hand-offs).
   std::uint64_t ShardForwardedOps(std::size_t shard) const;
   // Mailbox depth observed at each drain of `shard`.
   HistogramData ShardMailboxDepth(std::size_t shard) const;
@@ -300,37 +284,6 @@ class ZhtServer {
     alignas(64) Node* tail_;               // consumer
   };
 
-  // Bounded SPSC ring: the producer is one specific executor thread, the
-  // consumer is the shard drain. Lock-free; Push fails (ring full) rather
-  // than blocking — the caller spills to the MPSC queue.
-  class SpscTaskRing {
-   public:
-    explicit SpscTaskRing(std::size_t capacity)
-        : slots_(capacity == 0 ? 1 : capacity) {}
-    bool Push(ShardTask&& task) {
-      const std::uint64_t head = head_.load(std::memory_order_relaxed);
-      if (head - tail_.load(std::memory_order_acquire) == slots_.size()) {
-        return false;
-      }
-      slots_[head % slots_.size()] = std::move(task);
-      head_.store(head + 1, std::memory_order_release);
-      return true;
-    }
-    bool Pop(ShardTask* out) {
-      const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-      if (tail == head_.load(std::memory_order_acquire)) return false;
-      *out = std::move(slots_[tail % slots_.size()]);
-      slots_[tail % slots_.size()] = nullptr;
-      tail_.store(tail + 1, std::memory_order_release);
-      return true;
-    }
-
-   private:
-    std::vector<ShardTask> slots_;
-    alignas(64) std::atomic<std::uint64_t> head_{0};
-    alignas(64) std::atomic<std::uint64_t> tail_{0};
-  };
-
   // One (partition, chain member) leg of an in-flight rebuild.
   struct RebuildTarget {
     InstanceId id = 0;
@@ -395,22 +348,12 @@ class ZhtServer {
     std::atomic<std::uint64_t> inflight_bytes{0};
 
     // --- mailbox ---
-    std::vector<std::unique_ptr<SpscTaskRing>> rings;  // [producer executor]
-    MpscTaskQueue overflow;  // non-executor producers + ring spill
+    MpscTaskQueue mailbox;
     std::atomic<std::uint64_t> queued{0};
-    std::atomic<bool> active{false};  // unbound-drain exclusivity (CAS)
-    bool draining = false;            // bound: owner-thread reentrancy guard
-    // Owning executor; -1 = unbound. Written before traffic starts
-    // (BindShardExecutor) and at unbind (~ZhtServer); atomic because
-    // finisher and flusher threads may Post concurrently with the unbind.
-    std::atomic<int> executor{-1};
-    // Wakes the owning executor's loop. Set before traffic, never cleared:
-    // the front-end outlives this server (its fds stay open through Stop),
-    // so a straggler wake after unbind is a harmless eventfd write.
-    std::function<void()> waker;
+    std::atomic<bool> active{false};  // drain exclusivity (CAS)
 
     // --- telemetry (the only record; snapshots sum it across shards) ---
-    std::atomic<std::uint64_t> forwarded{0};  // cross-executor posts
+    std::atomic<std::uint64_t> forwarded{0};  // posts handed to a drainer
     Histogram mailbox_depth;                  // depth seen at each drain
 
     Shard(MembershipTable t, std::size_t cache_entries)
@@ -489,12 +432,13 @@ class ZhtServer {
   }
 
   // --- mailbox machinery ---
-  int CurrentExecutor() const;  // this thread's executor for this server
+  // Enqueues `task` and drains the shard on the calling thread, unless
+  // another call is draining it already (then that drainer runs the task).
   void Post(Shard& shard, ShardTask task);
-  void Enqueue(Shard& shard, ShardTask task);
-  void Kick(Shard& shard);
-  void DrainBound(Shard& shard);   // owner executor thread only
-  void DrainShared(Shard& shard);  // unbound shards: CAS-serialized
+  // Runs the shard's queued tasks on this thread until the mailbox is empty
+  // or another call holds the drain (which then covers what is left).
+  // Returns how many tasks ran here.
+  std::size_t Drain(Shard& shard);
   std::size_t DrainAll(Shard& shard);
 
   // --- request execution (inside shard drains unless noted) ---
@@ -674,7 +618,6 @@ class ZhtServer {
     Counter* hot_cache_invalidations = nullptr;
     Counter* hot_cache_drops = nullptr;
     Counter* sheds = nullptr;
-    Counter* mailbox_full = nullptr;  // reactor.mailbox_full; STATS only
   };
   EventCounters counters_;
 

@@ -152,23 +152,8 @@ EpollServer::~EpollServer() {
   if (udp_fd_ >= 0) ::close(udp_fd_);
 }
 
-void EpollServer::SetReactorHooks(int reactor, std::function<void()> on_start,
-                                  std::function<void()> on_wake) {
-  auto& r = reactors_[static_cast<std::size_t>(reactor)];
-  r->on_start = std::move(on_start);
-  r->on_wake = std::move(on_wake);
-}
-
 void EpollServer::SetPlacement(std::function<int(const Request&)> placement) {
   placement_ = std::move(placement);
-}
-
-std::function<void()> EpollServer::ReactorWaker(int reactor) {
-  int wake_fd = reactors_[static_cast<std::size_t>(reactor)]->wake_fd;
-  return [wake_fd] {
-    std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof(one));
-  };
 }
 
 Status EpollServer::Start() {
@@ -191,7 +176,6 @@ void EpollServer::Stop() {
 
 void EpollServer::Loop(Reactor& r) {
   r.thread_id = std::this_thread::get_id();
-  if (r.on_start) r.on_start();
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_relaxed)) {
@@ -228,10 +212,8 @@ void EpollServer::Loop(Reactor& r) {
       if (r.connections.count(fd) && (mask & EPOLLOUT)) HandleWritable(r, fd);
     }
     // Responses that completed on other threads (flusher, finisher, another
-    // reactor's shard) since the last pass, then the executor hook so
-    // shard mailbox posts targeting this reactor are drained promptly.
+    // reactor's shard drain) since the last pass.
     DrainCompletions(r);
-    if (r.on_wake) r.on_wake();
   }
 }
 

@@ -23,10 +23,11 @@
 // Partition-affine routing: an optional placement function inspects the
 // first request decoded on a connection and, if it prefers a different
 // reactor, the whole connection (fd + buffered bytes) is re-homed to that
-// reactor before the request is dispatched. Clients that shard their
-// connections by key therefore land every request on the reactor that owns
-// the key's partition, and the shard mailboxes see no cross-reactor
-// forwards (see ZhtServer::PreferredExecutor and DESIGN.md §9).
+// reactor before the request is dispatched. ZhtServer drains a shard on
+// whichever thread posts to it, so with placement mapping each key's shard
+// to one reactor (LocalCluster::WireReactors), a client that shards its
+// connections by key has every request executed on the reactor that read
+// it, and the shard mailboxes see almost no hand-offs (DESIGN.md §9).
 //
 // With num_reactors = 1 this degenerates to the paper's architecture.
 #pragma once
@@ -74,22 +75,11 @@ class EpollServer {
   EpollServer(const EpollServer&) = delete;
   EpollServer& operator=(const EpollServer&) = delete;
 
-  // Executor integration (all pre-Start only). `on_start` runs once on the
-  // reactor thread before its first epoll_wait (ZhtServer uses it to claim
-  // the thread as executor `i`); `on_wake` runs after every batch of epoll
-  // events and completions (ZhtServer drains the shard mailboxes bound to
-  // executor `i` there).
-  void SetReactorHooks(int reactor, std::function<void()> on_start,
-                       std::function<void()> on_wake);
-  // Routes connections to reactors: called once per connection with its
-  // first decoded request; a return in [0, num_reactors) re-homes the
-  // connection to that reactor, anything else leaves it where accept-time
-  // round-robin put it.
+  // Routes connections to reactors (pre-Start only): called once per
+  // connection with its first decoded request; a return in
+  // [0, num_reactors) re-homes the connection to that reactor, anything
+  // else leaves it where accept-time round-robin put it.
   void SetPlacement(std::function<int(const Request&)> placement);
-  // A thread-safe functor that wakes reactor `i`'s event loop (writes its
-  // eventfd). Valid for the server's whole lifetime; ZhtServer installs it
-  // as the shard waker so cross-thread mailbox posts interrupt epoll_wait.
-  std::function<void()> ReactorWaker(int reactor);
 
   // Spawns the event-loop threads. Idempotent.
   Status Start();
@@ -154,11 +144,9 @@ class EpollServer {
     int epoll_fd = -1;
     int wake_fd = -1;
     std::thread thread;
-    std::thread::id thread_id;  // set by Loop before on_start
+    std::thread::id thread_id;  // set by Loop on entry
     std::unordered_map<int, Connection> connections;
     std::atomic<std::uint64_t> assigned{0};
-    std::function<void()> on_start;
-    std::function<void()> on_wake;
     // Accepted or re-homed fds (with any buffered state) parked here until
     // this reactor adopts them.
     std::mutex handoff_mu;

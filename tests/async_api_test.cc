@@ -1,15 +1,15 @@
 // Asynchronous request API (`ctest -L concurrency`): HandleAsync routing
-// through shard mailboxes, with shards bound to real executor threads so
-// cross-reactor forwarding — not shared-state locking — carries requests
-// to their owners. Covers:
+// through shard mailboxes, where whichever thread posts drains the shard
+// and a post that finds its shard mid-drain is handed to that drainer.
+// Covers:
 //
-//  1. single ops posted from a non-executor thread land on bound shards
-//     via the mailbox (every one counts as a forward) and still complete;
-//  2. ops dispatched from the WRONG executor thread forward to the owner's
-//     mailbox and are executed by the owning executor thread only;
-//  3. a BATCH whose sub-ops span every shard owner scatters per-shard
-//     groups and gathers one carrier response;
-//  4. a partition migrating away mid-traffic answers in-flight ops with
+//  1. a post into a shard whose drain another thread holds returns at
+//     once, runs on the holding thread, and counts as one hand-off
+//     (`ShardForwardedOps`, `reactor.forwards`);
+//  2. BATCHes whose sub-ops span every shard owner, posted concurrently
+//     from several threads, scatter per-shard groups and gather one
+//     carrier response each;
+//  3. a partition migrating away mid-traffic answers in-flight ops with
 //     kMigrating (never a hang, a crash, or a dropped callback).
 #include <gtest/gtest.h>
 
@@ -21,46 +21,10 @@
 #include "core/zht_server.h"
 #include "net/loopback.h"
 #include "serialize/batch.h"
+#include "shard_stall.h"
 
 namespace zht {
 namespace {
-
-// A polling executor pool: thread e claims executor identity e and drains
-// its bound shards until stopped. The waker is a no-op because the loop
-// polls; production reactors use their eventfd instead.
-class ExecutorPool {
- public:
-  ExecutorPool(ZhtServer& server, int executors) : server_(server) {
-    for (int e = 0; e < executors; ++e) {
-      threads_.emplace_back([this, e] {
-        server_.EnterExecutorThread(e);
-        started_.fetch_add(1, std::memory_order_release);
-        while (!stop_.load(std::memory_order_acquire)) {
-          server_.RunExecutor(e);
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-        server_.RunExecutor(e);  // final drain
-      });
-    }
-    while (started_.load(std::memory_order_acquire) <
-           static_cast<int>(threads_.size())) {
-      std::this_thread::yield();
-    }
-  }
-
-  // Runs `fn` on executor thread `e` by injecting it through the server's
-  // own mailbox for a shard bound to `e`.
-  ~ExecutorPool() {
-    stop_.store(true, std::memory_order_release);
-    for (auto& t : threads_) t.join();
-  }
-
- private:
-  ZhtServer& server_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int> started_{0};
-  std::vector<std::thread> threads_;
-};
 
 struct Rig {
   LoopbackNetwork network;
@@ -68,7 +32,8 @@ struct Rig {
   std::unique_ptr<LoopbackTransport> transport;
   std::unique_ptr<ZhtServer> server;
 
-  explicit Rig(std::size_t num_shards, std::uint32_t partitions = 16) {
+  explicit Rig(std::size_t num_shards, std::uint32_t partitions = 16,
+               StoreFactory store_factory = nullptr) {
     addresses.push_back(
         network.Register([](Request&&) { return Response{}; }));
     MembershipTable table = MembershipTable::CreateUniform(
@@ -77,6 +42,7 @@ struct Rig {
     options.self = 0;
     options.cluster.num_replicas = 0;
     options.num_shards = num_shards;
+    options.store_factory = std::move(store_factory);
     transport = std::make_unique<LoopbackTransport>(&network);
     server = std::make_unique<ZhtServer>(std::move(table), options,
                                          transport.get());
@@ -93,142 +59,107 @@ Request DataOp(OpCode op, std::string key, std::string value,
   return request;
 }
 
-// Keys that hash to a shard owned by each executor (shard = partition %
+// A key starting with `prefix` that hashes to `shard` (shard = partition %
 // num_shards under the server's uniform layout).
 std::string KeyOnShard(const ZhtServer& server, const MembershipTable& table,
-                       std::size_t shard) {
+                       std::size_t shard, const std::string& prefix = "k") {
   for (int i = 0;; ++i) {
-    std::string key = "k" + std::to_string(i);
+    std::string key = prefix + std::to_string(i);
     if (table.PartitionOfKey(key) % server.num_shards() == shard) return key;
   }
 }
 
-TEST(AsyncApiTest, ForwardsSingleOpsToBoundShards) {
-  Rig rig(/*num_shards=*/2);
-  for (std::size_t s = 0; s < rig.server->num_shards(); ++s) {
-    rig.server->BindShardExecutor(s, static_cast<int>(s), [] {});
-  }
-  ExecutorPool pool(*rig.server, 2);
-
-  // This thread holds no executor identity, so every post is a forward
-  // into a bound shard's mailbox, executed by the owning executor thread.
-  constexpr int kOps = 200;
-  std::atomic<int> completions{0};
-  std::atomic<int> failures{0};
-  for (int i = 0; i < kOps; ++i) {
-    Request put = DataOp(OpCode::kInsert, "key" + std::to_string(i),
-                         "v" + std::to_string(i),
-                         static_cast<std::uint64_t>(i + 1));
-    rig.server->HandleAsync(std::move(put), [&](Response&& response) {
-      if (!response.ok()) ++failures;
-      completions.fetch_add(1, std::memory_order_release);
-    });
-  }
-  for (int spin = 0; completions.load(std::memory_order_acquire) < kOps;
-       ++spin) {
-    ASSERT_LT(spin, 50000) << "async completions lost";
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  EXPECT_EQ(failures.load(), 0);
-
-  std::uint64_t forwarded = 0;
-  for (std::size_t s = 0; s < rig.server->num_shards(); ++s) {
-    forwarded += rig.server->ShardForwardedOps(s);
-  }
-  EXPECT_GE(forwarded, static_cast<std::uint64_t>(kOps));
-
-  // The forwards surface in STATS-visible metrics, and reads see the
-  // writes once the owning executors drained them.
-  MetricsSnapshot snapshot = rig.server->MetricsSnapshotNow();
-  EXPECT_GE(snapshot.ValueOf("reactor.forwards"),
-            static_cast<std::int64_t>(kOps));
-  EXPECT_NE(snapshot.Find("reactor.mailbox_full"), nullptr);
-  Response got = rig.server->Handle(DataOp(OpCode::kLookup, "key7", "", 999));
-  EXPECT_TRUE(got.ok());
-  EXPECT_EQ(got.value, "v7");
-}
-
-TEST(AsyncApiTest, WrongExecutorForwardsToOwner) {
-  Rig rig(/*num_shards=*/2);
+TEST(AsyncApiTest, BusyShardHandsPostToItsDrainer) {
+  ShardStall stall;
+  Rig rig(/*num_shards=*/2, /*partitions=*/16, stall.Factory());
   const MembershipTable table = rig.server->table();
-  for (std::size_t s = 0; s < rig.server->num_shards(); ++s) {
-    rig.server->BindShardExecutor(s, static_cast<int>(s), [] {});
-  }
-  ExecutorPool pool(*rig.server, 2);
+  const std::size_t shard = 1;
+  const std::uint64_t before = rig.server->ShardForwardedOps(shard);
 
-  // A request whose key lives on shard 1, dispatched while executor 0 is
-  // draining (i.e. from the wrong reactor): it must cross the mailbox,
-  // not execute in place.
-  std::string wrong_home = KeyOnShard(*rig.server, table, 1);
-  const std::uint64_t before = rig.server->ShardForwardedOps(1);
+  // Thread A drains shard 1 and stops inside a store Put.
+  const std::thread::id holder = stall.Hold(*rig.server, shard);
 
-  // Drive the dispatch from executor 0's thread by issuing an op on shard
-  // 0 whose completion callback (running on executor 0) issues the
-  // cross-shard op.
-  std::string own_home = KeyOnShard(*rig.server, table, 0);
-  std::atomic<bool> inner_done{false};
-  bool inner_ok = false;
-  rig.server->HandleAsync(
-      DataOp(OpCode::kInsert, own_home, "a", 1), [&](Response&&) {
-        rig.server->HandleAsync(DataOp(OpCode::kInsert, wrong_home, "b", 2),
-                                [&](Response&& inner) {
-                                  inner_ok = inner.ok();
-                                  inner_done.store(
-                                      true, std::memory_order_release);
-                                });
-      });
-  for (int spin = 0; !inner_done.load(std::memory_order_acquire); ++spin) {
-    ASSERT_LT(spin, 50000) << "cross-executor op lost";
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  EXPECT_TRUE(inner_ok);
-  EXPECT_GT(rig.server->ShardForwardedOps(1), before);
-  Response got = rig.server->Handle(DataOp(OpCode::kLookup, wrong_home, "", 3));
-  EXPECT_EQ(got.value, "b");
+  // Thread B posts into the held shard: the post must not wait for A.
+  std::atomic<bool> ran{false};
+  std::thread::id ran_on;
+  bool ok = false;
+  std::thread poster([&] {
+    rig.server->HandleAsync(
+        DataOp(OpCode::kInsert, KeyOnShard(*rig.server, table, shard), "b", 1),
+        [&](Response&& response) {
+          ok = response.ok();
+          ran_on = std::this_thread::get_id();
+          ran.store(true, std::memory_order_release);
+        });
+  });
+  poster.join();
+  EXPECT_FALSE(ran.load(std::memory_order_acquire))
+      << "the post ran although shard " << shard << " was held";
+  EXPECT_EQ(rig.server->ShardForwardedOps(shard), before + 1);
+
+  // Releasing A lets its drain run the handed-off task.
+  stall.Release();
+  ASSERT_TRUE(ran.load(std::memory_order_acquire));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(ran_on, holder);
+  EXPECT_EQ(rig.server->ShardForwardedOps(shard), before + 1);
+  EXPECT_EQ(rig.server->ShardForwardedOps(0), 0u);
+  MetricsSnapshot snapshot = rig.server->MetricsSnapshotNow();
+  EXPECT_EQ(snapshot.ValueOf("reactor.forwards"),
+            static_cast<std::int64_t>(before + 1));
 }
 
 TEST(AsyncApiTest, OwnerSpanningBatchGathersAcrossShards) {
   Rig rig(/*num_shards=*/4, /*partitions=*/32);
   const MembershipTable table = rig.server->table();
-  for (std::size_t s = 0; s < rig.server->num_shards(); ++s) {
-    rig.server->BindShardExecutor(s, static_cast<int>(s), [] {});
-  }
-  ExecutorPool pool(*rig.server, 4);
 
-  // One sub-op per shard owner, plus extras: the carrier scatters four
-  // per-shard groups and the gather must produce one ordered response.
-  std::vector<Request> ops;
-  for (std::size_t s = 0; s < 4; ++s) {
-    ops.push_back(DataOp(OpCode::kInsert, KeyOnShard(*rig.server, table, s),
-                         "shard" + std::to_string(s),
-                         static_cast<std::uint64_t>(s + 1)));
+  // Each poster thread sends one carrier with a sub-op per shard owner,
+  // plus extras: each carrier scatters four per-shard groups, which race
+  // the other posters' groups for the shard drains, and each gather must
+  // produce one ordered response.
+  constexpr int kPosters = 4;
+  std::vector<std::vector<Request>> ops(kPosters);
+  std::vector<Response> responses(kPosters);
+  std::atomic<int> done{0};
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kPosters; ++t) {
+    const std::string tag = "t" + std::to_string(t);
+    for (std::size_t s = 0; s < 4; ++s) {
+      ops[t].push_back(
+          DataOp(OpCode::kInsert, KeyOnShard(*rig.server, table, s, tag),
+                 tag + "shard" + std::to_string(s),
+                 static_cast<std::uint64_t>(s + 1)));
+    }
+    for (int i = 0; i < 12; ++i) {
+      ops[t].push_back(DataOp(OpCode::kInsert, tag + "bulk" + std::to_string(i),
+                              "x", static_cast<std::uint64_t>(100 + i)));
+    }
+    posters.emplace_back([&, t] {
+      rig.server->HandleAsync(PackBatchRequest(ops[t], /*seq=*/7),
+                              [&, t](Response&& response) {
+                                responses[t] = std::move(response);
+                                done.fetch_add(1, std::memory_order_release);
+                              });
+    });
   }
-  for (int i = 0; i < 12; ++i) {
-    ops.push_back(DataOp(OpCode::kInsert, "bulk" + std::to_string(i), "x",
-                         static_cast<std::uint64_t>(100 + i)));
-  }
-  Request carrier = PackBatchRequest(ops, /*seq=*/7);
-
-  std::atomic<bool> done{false};
-  Response carrier_response;
-  rig.server->HandleAsync(std::move(carrier), [&](Response&& response) {
-    carrier_response = std::move(response);
-    done.store(true, std::memory_order_release);
-  });
-  for (int spin = 0; !done.load(std::memory_order_acquire); ++spin) {
+  for (std::thread& poster : posters) poster.join();
+  for (int spin = 0; done.load(std::memory_order_acquire) < kPosters;
+       ++spin) {
     ASSERT_LT(spin, 50000) << "batch gather never completed";
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 
-  auto unpacked = UnpackBatchResponse(carrier_response, ops.size());
-  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
-  for (std::size_t i = 0; i < unpacked->size(); ++i) {
-    EXPECT_TRUE((*unpacked)[i].ok()) << "sub-op " << i;
-  }
-  for (std::size_t s = 0; s < 4; ++s) {
-    Response got = rig.server->Handle(DataOp(
-        OpCode::kLookup, KeyOnShard(*rig.server, table, s), "", 900 + s));
-    EXPECT_EQ(got.value, "shard" + std::to_string(s));
+  for (int t = 0; t < kPosters; ++t) {
+    auto unpacked = UnpackBatchResponse(responses[t], ops[t].size());
+    ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+    for (std::size_t i = 0; i < unpacked->size(); ++i) {
+      EXPECT_TRUE((*unpacked)[i].ok()) << "poster " << t << " sub-op " << i;
+    }
+    for (std::size_t s = 0; s < 4; ++s) {
+      Response got = rig.server->Handle(
+          DataOp(OpCode::kLookup, ops[t][s].key, "", 900 + s));
+      EXPECT_EQ(got.value, ops[t][s].value);
+    }
   }
 }
 

@@ -139,7 +139,7 @@ TEST(AsyncChaosTest, MailboxRoutedClusterLinearizesUnderFaults) {
 
   // The mailbox path was really exercised: per-shard telemetry is live on
   // every instance (depth histograms exist even when drains found the
-  // rings empty).
+  // mailbox empty).
   for (std::size_t i = 0; i < (*cluster)->instance_count(); ++i) {
     ZhtServer* server = (*cluster)->server(i);
     EXPECT_EQ(server->num_shards(),

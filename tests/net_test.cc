@@ -9,7 +9,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "net/epoll_server.h"
@@ -846,6 +848,113 @@ TEST(EpollServerProcessTest, MultiReactorServesAndDistributes) {
   }
   EXPECT_EQ(assigned, (*server)->connections_accepted());
   (*server)->Stop();
+}
+
+// Sends `count` requests keyed `prefix<i>` on one fresh TCP connection in a
+// single write (pipelined behind the first frame) and returns the responses
+// in arrival order.
+std::vector<Response> PipelineOnNewConnection(const NodeAddress& address,
+                                              const std::string& prefix,
+                                              int count) {
+  std::vector<Response> responses;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return responses;
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(address.port);
+  ::inet_pton(AF_INET, address.host.c_str(), &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return responses;
+  }
+  std::string outbound;
+  for (int i = 0; i < count; ++i) {
+    Request request;
+    request.op = OpCode::kInsert;
+    request.seq = static_cast<std::uint64_t>(i + 1);
+    request.key = prefix + std::to_string(i);
+    outbound += FrameMessage(request.Encode());
+  }
+  if (::send(fd, outbound.data(), outbound.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(outbound.size())) {
+    ::close(fd);
+    return responses;
+  }
+  std::string inbound;
+  std::size_t offset = 0;
+  bool malformed = false;
+  char buf[1 << 16];
+  while (static_cast<int>(responses.size()) < count && !malformed) {
+    auto payload = ExtractFrameAt(inbound, &offset, &malformed);
+    if (payload) {
+      auto response = Response::Decode(*payload);
+      if (!response.ok()) break;
+      responses.push_back(std::move(*response));
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    inbound.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return responses;
+}
+
+// Placement re-homes a connection at its first decoded request: the
+// buffered first frame and the frames pipelined behind it move with the
+// connection and are answered, in order, on the new reactor. A placement
+// of -1 or an index past the last reactor leaves the connection where
+// accept-time round-robin put it.
+TEST(EpollServerProcessTest, PlacementRehomesConnectionWithPipelinedFrames) {
+  std::mutex mu;
+  std::map<std::string, std::set<std::thread::id>> handled_on;  // by prefix
+  auto handler = [&](Request&& request) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      handled_on[request.key.substr(0, 3)].insert(std::this_thread::get_id());
+    }
+    return EchoHandler(std::move(request));
+  };
+  EpollServerOptions options;
+  options.num_reactors = 2;
+  options.enable_udp = false;
+  auto server = EpollServer::Create(options, RequestHandler(handler));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  (*server)->SetPlacement([](const Request& request) {
+    if (request.key.rfind("one", 0) == 0) return 1;
+    if (request.key.rfind("big", 0) == 0) return 2;  // == num_reactors
+    return -1;
+  });
+  ASSERT_TRUE((*server)->Start().ok());
+
+  // Connections are accepted round-robin: reactor 0, 1, then 0 again.
+  constexpr int kFrames = 8;
+  for (const std::string prefix : {"neg", "big", "one"}) {
+    std::vector<Response> responses =
+        PipelineOnNewConnection((*server)->address(), prefix, kFrames);
+    ASSERT_EQ(responses.size(), static_cast<std::size_t>(kFrames)) << prefix;
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_EQ(responses[i].seq, static_cast<std::uint64_t>(i + 1)) << prefix;
+      EXPECT_EQ(responses[i].value, prefix + std::to_string(i) + "|");
+    }
+    if (prefix != "one") {
+      EXPECT_EQ((*server)->connections_rehomed(), 0u) << prefix;
+    }
+  }
+  EXPECT_EQ((*server)->connections_rehomed(), 1u);
+  EXPECT_EQ((*server)->connections_assigned(0), 2u);
+  EXPECT_EQ((*server)->connections_assigned(1), 1u);
+  (*server)->Stop();
+
+  // Each connection was served by one reactor thread: "neg" stayed on
+  // reactor 0, "big" on reactor 1, and "one" moved from reactor 0 to 1.
+  ASSERT_EQ(handled_on["neg"].size(), 1u);
+  ASSERT_EQ(handled_on["big"].size(), 1u);
+  ASSERT_EQ(handled_on["one"].size(), 1u);
+  EXPECT_NE(*handled_on["neg"].begin(), *handled_on["big"].begin());
+  EXPECT_EQ(*handled_on["one"].begin(), *handled_on["big"].begin());
 }
 
 }  // namespace

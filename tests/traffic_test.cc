@@ -33,6 +33,7 @@
 #include "net/loopback.h"
 #include "serialize/metrics_codec.h"
 #include "serialize/wire.h"
+#include "shard_stall.h"
 
 namespace zht {
 namespace {
@@ -253,8 +254,10 @@ class TrafficServerTest : public ::testing::Test {
   }
 
   std::unique_ptr<ZhtServer> MakeServer(std::size_t cache_entries,
-                                        std::size_t shed_budget = 0) {
+                                        std::size_t shed_budget = 0,
+                                        StoreFactory store_factory = nullptr) {
     ZhtServerOptions options;
+    options.store_factory = std::move(store_factory);
     options.self = 0;
     options.num_shards = 1;  // deterministic mailbox accounting
     options.cluster.hot_cache_entries = cache_entries;
@@ -446,107 +449,94 @@ TEST_F(TrafficServerTest, MigrationOutDropsSourceCacheEntries) {
 
 // ---- admission control ---------------------------------------------------
 //
-// The overload fixture: bind every shard to executor 0 with a no-op waker
-// and never run it — posted work piles up in the mailbox exactly as it
-// would behind a stalled drain, so shedding at ingress is observable
-// synchronously. Each test runs in a fresh thread because the executor
-// registration is thread-local.
+// The overload fixture: a ShardStall holds the shard's drain on a helper
+// thread, inside a store Put, so posted work piles up in the mailbox exactly
+// as it would behind a slow drain and shedding at ingress is observable
+// synchronously. Release() lets the helper run everything queued.
 
 TEST_F(TrafficServerTest, ShedsPastBudgetWithRetryAfterAndRecovers) {
-  auto server = MakeServer(/*cache_entries=*/0, /*shed_budget=*/4);
-  std::thread worker([&] {
-    for (std::size_t s = 0; s < server->num_shards(); ++s) {
-      server->BindShardExecutor(s, 0, [] {});
-    }
-    int completed = 0;
-    int unavailable = 0;
-    std::uint32_t last_hint = 0;
-    auto issue = [&](const std::string& key, bool server_origin) {
-      Request req = DataRequest(OpCode::kInsert, key, "v");
-      req.server_origin = server_origin;
-      server->HandleAsync(std::move(req), [&](Response&& resp) {
-        ++completed;
-        if (resp.status_as_object().code() == StatusCode::kUnavailable) {
-          ++unavailable;
-          last_hint = resp.retry_after_us;
-        }
-      });
-    };
-    for (int i = 0; i < 4; ++i) issue("sk" + std::to_string(i), false);
-    EXPECT_EQ(completed, 0);  // all queued behind the stalled drain
-    issue("sk-over", false);
-    EXPECT_EQ(completed, 1);  // shed synchronously at ingress
-    EXPECT_EQ(unavailable, 1);
-    EXPECT_GE(last_hint, 1000u);  // the retry-after hint travels
-    issue("sk-replica", true);    // server-origin traffic is never shed
-    EXPECT_EQ(completed, 1);
-    EXPECT_EQ(server->stats().sheds, 1u);
+  ShardStall stall;
+  auto server = MakeServer(/*cache_entries=*/0, /*shed_budget=*/4,
+                           stall.Factory());
+  stall.Hold(*server, 0);
+  int completed = 0;
+  int unavailable = 0;
+  std::uint32_t last_hint = 0;
+  auto issue = [&](const std::string& key, bool server_origin) {
+    Request req = DataRequest(OpCode::kInsert, key, "v");
+    req.server_origin = server_origin;
+    server->HandleAsync(std::move(req), [&](Response&& resp) {
+      ++completed;
+      if (resp.status_as_object().code() == StatusCode::kUnavailable) {
+        ++unavailable;
+        last_hint = resp.retry_after_us;
+      }
+    });
+  };
+  for (int i = 0; i < 4; ++i) issue("sk" + std::to_string(i), false);
+  EXPECT_EQ(completed, 0);  // all queued behind the stalled drain
+  issue("sk-over", false);
+  EXPECT_EQ(completed, 1);  // shed synchronously at ingress
+  EXPECT_EQ(unavailable, 1);
+  EXPECT_GE(last_hint, 1000u);  // the retry-after hint travels
+  issue("sk-replica", true);    // server-origin traffic is never shed
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(server->stats().sheds, 1u);
 
-    server->EnterExecutorThread(0);
-    server->RunExecutor(0);
-    EXPECT_EQ(completed, 6);    // 4 queued + 1 shed + 1 server-origin
-    EXPECT_EQ(unavailable, 1);  // drained ops all succeeded
-  });
-  worker.join();
+  stall.Release();
+  EXPECT_EQ(completed, 6);    // 4 queued + 1 shed + 1 server-origin
+  EXPECT_EQ(unavailable, 1);  // drained ops all succeeded
 }
 
 TEST_F(TrafficServerTest, BudgetZeroNeverShedsAndQueuesUnboundedly) {
-  auto server = MakeServer(/*cache_entries=*/0, /*shed_budget=*/0);
-  std::thread worker([&] {
-    for (std::size_t s = 0; s < server->num_shards(); ++s) {
-      server->BindShardExecutor(s, 0, [] {});
-    }
-    int completed = 0;
-    for (int i = 0; i < 100; ++i) {
-      server->HandleAsync(DataRequest(OpCode::kInsert, "z" + std::to_string(i),
-                                      "v"),
-                          [&](Response&&) { ++completed; });
-    }
-    EXPECT_EQ(completed, 0);
-    EXPECT_EQ(server->stats().sheds, 0u);
-    std::uint64_t queued = 0;
-    for (std::size_t s = 0; s < server->num_shards(); ++s) {
-      queued += server->ShardQueuedNow(s);
-    }
-    EXPECT_EQ(queued, 100u);  // mailbox growth is unbounded with the knob off
-    server->EnterExecutorThread(0);
-    server->RunExecutor(0);
-    EXPECT_EQ(completed, 100);
-  });
-  worker.join();
+  ShardStall stall;
+  auto server = MakeServer(/*cache_entries=*/0, /*shed_budget=*/0,
+                           stall.Factory());
+  stall.Hold(*server, 0);
+  int completed = 0;
+  for (int i = 0; i < 100; ++i) {
+    server->HandleAsync(DataRequest(OpCode::kInsert, "z" + std::to_string(i),
+                                    "v"),
+                        [&](Response&&) { ++completed; });
+  }
+  EXPECT_EQ(completed, 0);
+  EXPECT_EQ(server->stats().sheds, 0u);
+  std::uint64_t queued = 0;
+  for (std::size_t s = 0; s < server->num_shards(); ++s) {
+    queued += server->ShardQueuedNow(s);
+  }
+  EXPECT_EQ(queued, 100u);  // mailbox growth is unbounded with the knob off
+  stall.Release();
+  EXPECT_EQ(completed, 100);
 }
 
 TEST_F(TrafficServerTest, ByteBudgetShedsBeforeSlotBudget) {
   // budget 4 slots => 4 * 128 KiB in-flight bytes. One 600 KiB value
   // exceeds that alone, so the second op sheds with 3 slots still free.
-  auto server = MakeServer(/*cache_entries=*/0, /*shed_budget=*/4);
-  std::thread worker([&] {
-    for (std::size_t s = 0; s < server->num_shards(); ++s) {
-      server->BindShardExecutor(s, 0, [] {});
-    }
-    int completed = 0;
-    int unavailable = 0;
-    std::string big(600 * 1024, 'x');
-    server->HandleAsync(DataRequest(OpCode::kInsert, "big", big),
-                        [&](Response&&) { ++completed; });
-    EXPECT_EQ(completed, 0);  // admitted, queued
-    server->HandleAsync(DataRequest(OpCode::kInsert, "small", "v"),
-                        [&](Response&& resp) {
-                          ++completed;
-                          if (resp.status_as_object().code() ==
-                              StatusCode::kUnavailable) {
-                            ++unavailable;
-                            EXPECT_GT(resp.retry_after_us, 0u);
-                          }
-                        });
-    EXPECT_EQ(completed, 1);
-    EXPECT_EQ(unavailable, 1);
-    EXPECT_EQ(server->stats().sheds, 1u);
-    server->EnterExecutorThread(0);
-    server->RunExecutor(0);
-    EXPECT_EQ(completed, 2);
-  });
-  worker.join();
+  ShardStall stall;
+  auto server = MakeServer(/*cache_entries=*/0, /*shed_budget=*/4,
+                           stall.Factory());
+  stall.Hold(*server, 0);
+  int completed = 0;
+  int unavailable = 0;
+  std::string big(600 * 1024, 'x');
+  server->HandleAsync(DataRequest(OpCode::kInsert, "big", big),
+                      [&](Response&&) { ++completed; });
+  EXPECT_EQ(completed, 0);  // admitted, queued
+  server->HandleAsync(DataRequest(OpCode::kInsert, "small", "v"),
+                      [&](Response&& resp) {
+                        ++completed;
+                        if (resp.status_as_object().code() ==
+                            StatusCode::kUnavailable) {
+                          ++unavailable;
+                          EXPECT_GT(resp.retry_after_us, 0u);
+                        }
+                      });
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(unavailable, 1);
+  EXPECT_EQ(server->stats().sheds, 1u);
+  stall.Release();
+  EXPECT_EQ(completed, 2);
 }
 
 // ---- the client honors retry-after ---------------------------------------

@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
 
   const int num_reactors =
       static_cast<int>(config.GetInt("num_reactors", 1));
-  // One shard (disjoint partition set + mailbox) per reactor: each event
-  // loop owns its partitions end to end.
+  // One shard (disjoint partition set + mailbox) per reactor: placement
+  // sends each shard's connections to one event loop, which drains it.
   server_options.num_shards =
       static_cast<std::size_t>(num_reactors < 1 ? 1 : num_reactors);
 
