@@ -194,11 +194,14 @@ ZhtServer::ZhtServer(MembershipTable table, const ZhtServerOptions& options,
   batch_hist_ = metrics_.GetHistogram("server.op.batch.latency_ns");
   batch_size_hist_ = metrics_.GetHistogram("server.batch.size");
   replication_fanout_hist_ = metrics_.GetHistogram("server.replication.fanout");
+  finisher_wait_hist_ = metrics_.GetHistogram("server.stage.finisher_wait_ns");
   counters_.ops = metrics_.GetCounter("server.ops");
   counters_.redirects = metrics_.GetCounter("server.redirects");
   counters_.replications_sync = metrics_.GetCounter("server.replication.sync");
   counters_.replications_async =
       metrics_.GetCounter("server.replication.async");
+  counters_.replications_sync_failed =
+      metrics_.GetCounter("server.replication.sync_failed");
   counters_.migrations_out = metrics_.GetCounter("server.migrations.out");
   counters_.migrations_in = metrics_.GetCounter("server.migrations.in");
   counters_.migration_pairs_streamed =
@@ -772,44 +775,52 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
     return;
   }
 
-  ReplicaPlan plan;
-  if (replicate) {
-    plan = MakeReplicaPlan(shard, replication_chain);
-    plan.all_sync = failover_accept;
-    ApplyRebuildDiversions(shard, route.partition, &plan);
-  }
-  const PartitionId partition = route.partition;
-  auto fin = [this, resp = std::move(resp), request = std::move(request),
-              plan = std::move(plan), partition, replicate, op, start,
-              done = std::move(done)](Status durable) mutable {
-    bool do_replicate = replicate;
-    if (!durable.ok()) {
-      resp.status = durable.raw();
-      do_replicate = false;
-    }
-    if (!do_replicate) {
-      done(std::move(resp));
-      RecordDataOpLatency(op, start);
-      return;
-    }
-    // A synchronous hop to the secondary keeps primary+secondary strongly
-    // consistent; it is peer I/O, so it runs on a finisher, never inside a
-    // shard drain or a flusher callback.
-    EnqueueFinisher([this, resp = std::move(resp),
-                     request = std::move(request), plan = std::move(plan),
-                     partition, op, start, done = std::move(done)]() mutable {
-      ReplicateSync(request, partition, plan);
-      done(std::move(resp));
-      RecordDataOpLatency(op, start);
-    });
-  };
-  if (token != 0) {
+  if (!replicate) {
     // Ack parks on the log's flusher; no thread blocks for the group
     // commit. Concurrent writers join the same commit window.
-    store->NotifyDurable(token, std::move(fin));
-  } else {
-    fin(Status::Ok());
+    store->NotifyDurable(
+        token, [this, resp = std::move(resp), op, start,
+                done = std::move(done)](Status durable) mutable {
+          if (!durable.ok()) resp.status = durable.raw();
+          done(std::move(resp));
+          RecordDataOpLatency(op, start);
+        });
+    return;
   }
+
+  ReplicaPlan plan = MakeReplicaPlan(shard, replication_chain);
+  plan.all_sync = failover_accept;
+  ApplyRebuildDiversions(shard, route.partition, &plan);
+  const PartitionId partition = route.partition;
+  // A synchronous hop to the secondary keeps primary+secondary strongly
+  // consistent; it is peer I/O, so it runs on a finisher, never inside a
+  // shard drain or a flusher callback. On a durable store the leg starts
+  // now, beside the group commit, and the ack waits for both. A failed
+  // local sync still fails the op, even if its leg has landed: the op was
+  // never acked, so it stays ambiguous to the client.
+  auto join = std::make_shared<AckJoin>();
+  join->resp = std::move(resp);
+  join->done = std::move(done);
+  join->op = op;
+  join->start = start;
+  join->pending.store(token != 0 ? 2 : 1, kRelaxed);
+  EnqueueFinisher([this, join, request = std::move(request),
+                   plan = std::move(plan), partition] {
+    ReplicateSync(request, partition, plan);
+    FinishAckJoin(*join);
+  });
+  if (token != 0) {
+    store->NotifyDurable(token, [this, join](Status durable) {
+      if (!durable.ok()) join->resp.status = durable.raw();
+      FinishAckJoin(*join);
+    });
+  }
+}
+
+void ZhtServer::FinishAckJoin(AckJoin& join) {
+  if (join.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  join.done(std::move(join.resp));
+  RecordDataOpLatency(join.op, join.start);
 }
 
 // ---------------------------------------------------------------------------
@@ -835,7 +846,6 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
   gather->ops = std::move(batch->ops);
   const std::size_t n = gather->ops.size();
   gather->responses.resize(n);
-  gather->replicate.assign(n, 0);
   gather->partitions.assign(n, 0);
   gather->plans.resize(n);
   gather->done = std::move(done);
@@ -868,6 +878,7 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
     return;
   }
   gather->remaining.store(active_groups, kRelaxed);
+  gather->applying.store(active_groups, kRelaxed);
   const bool server_batch = request.server_origin;
   for (std::size_t s = 0; s < groups.size(); ++s) {
     if (groups[s].empty()) continue;
@@ -888,6 +899,7 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
           gather->responses[i] = std::move(sub);
         }
         counters_.sheds->Increment(groups[s].size());
+        BatchGroupApplied(gather);
         CompleteBatchGroup(gather);
         continue;
       }
@@ -908,6 +920,9 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
 void ZhtServer::ExecBatchGroup(Shard& shard,
                                const std::shared_ptr<BatchGather>& gather,
                                std::vector<std::size_t> indices) {
+  // Sub-ops whose ack waits for their store's durability (applied
+  // mutations).
+  std::vector<std::size_t> mutations;
   for (std::size_t i : indices) {
     const Request& op = gather->ops[i];
     DataRoute route = RouteDataOp(shard, op, &gather->delta_sent);
@@ -929,6 +944,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
       counters_.duplicate_appends_dropped->Increment();
       sub.status = Status::Ok().raw();
       gather->responses[i] = std::move(sub);
+      mutations.push_back(i);  // acks once its store is durable
       continue;
     }
     if (op.op == OpCode::kLookup && !op.server_origin &&
@@ -949,6 +965,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
       if (status.ok()) CacheFill(shard, route.partition, op.key, lookup_value);
     } else {
       CacheInvalidate(shard, op.key);
+      if (status.ok()) mutations.push_back(i);
     }
     if (status.ok() && op.op != OpCode::kLookup &&
         options_.cluster.num_replicas > 0 && !op.server_origin &&
@@ -973,16 +990,17 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
         }
       }
       if (replication_chain.size() > 1) {
-        gather->replicate[i] = 1;
-        gather->plans[i] = MakeReplicaPlan(shard, replication_chain);
-        gather->plans[i].all_sync = failover_accept;
-        ApplyRebuildDiversions(shard, route.partition, &gather->plans[i]);
+        ReplicaPlan& plan = gather->plans[i].emplace(
+            MakeReplicaPlan(shard, replication_chain));
+        plan.all_sync = failover_accept;
+        ApplyRebuildDiversions(shard, route.partition, &plan);
       }
     }
     sub.status = status.raw();
     sub.value = std::move(lookup_value);
     gather->responses[i] = std::move(sub);
   }
+  BatchGroupApplied(gather);
 
   // Durable ack, once per touched store: tokens are captured after every
   // sub-op applied (monotone, so the latest covers them all), and one
@@ -995,10 +1013,7 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
   };
   std::vector<TouchedStore> touched;
   std::unordered_set<PartitionId> seen;
-  for (std::size_t i : indices) {
-    const Request& op = gather->ops[i];
-    if (op.op == OpCode::kLookup) continue;
-    if (!gather->responses[i].ok()) continue;  // redirects/migrating/errors
+  for (std::size_t i : mutations) {
     const PartitionId partition = gather->partitions[i];
     if (!seen.insert(partition).second) continue;
     auto it = shard.stores.find(partition);
@@ -1012,12 +1027,12 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
   }
 
   struct GroupDurable {
-    std::vector<std::size_t> indices;
+    std::vector<std::size_t> mutations;
     std::vector<std::pair<PartitionId, Status>> results;
     std::atomic<std::size_t> pending{0};
   };
   auto group = std::make_shared<GroupDurable>();
-  group->indices = std::move(indices);
+  group->mutations = std::move(mutations);
   group->results.resize(touched.size());
   group->pending.store(touched.size(), kRelaxed);
   for (std::size_t j = 0; j < touched.size(); ++j) {
@@ -1032,21 +1047,42 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
           for (const auto& [p, st] : group->results) {
             if (!st.ok()) failed.insert(p);
           }
-          if (!failed.empty()) {
-            // Sub-ops on a store that failed to sync were never durable:
-            // fail them and drop their replication legs.
-            for (std::size_t i : group->indices) {
-              if (gather->ops[i].op == OpCode::kLookup) continue;
-              if (!failed.count(gather->partitions[i])) continue;
-              if (!gather->responses[i].ok()) continue;
+          // Sub-ops on a store that failed to sync were never durable:
+          // fail them, whether or not their legs have landed.
+          for (std::size_t i : group->mutations) {
+            if (failed.count(gather->partitions[i])) {
               gather->responses[i].status =
                   Status(StatusCode::kInternal).raw();
-              gather->replicate[i] = 0;
             }
           }
           CompleteBatchGroup(gather);
         });
   }
+}
+
+void ZhtServer::BatchGroupApplied(const std::shared_ptr<BatchGather>& gather) {
+  if (gather->applying.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Every group has applied: the carrier's sync legs start now, beside the
+  // groups' commits, on one finisher that coalesces them per target. They
+  // hold one gather count; the caller's group still holds its own, so the
+  // gather cannot finish before the increment.
+  std::vector<Request> ops;
+  std::vector<PartitionId> partitions;
+  std::vector<ReplicaPlan> plans;
+  for (std::size_t i = 0; i < gather->ops.size(); ++i) {
+    if (!gather->plans[i]) continue;
+    ops.push_back(std::move(gather->ops[i]));
+    partitions.push_back(gather->partitions[i]);
+    plans.push_back(std::move(*gather->plans[i]));
+  }
+  if (ops.empty()) return;
+  gather->remaining.fetch_add(1, kRelaxed);
+  EnqueueFinisher([this, gather, ops = std::move(ops),
+                   partitions = std::move(partitions),
+                   plans = std::move(plans)]() mutable {
+    ReplicateBatchResolved(std::move(ops), partitions, plans);
+    CompleteBatchGroup(gather);
+  });
 }
 
 void ZhtServer::CompleteBatchGroup(
@@ -1059,31 +1095,9 @@ void ZhtServer::CompleteBatchGroup(
 void ZhtServer::FinalizeBatch(const std::shared_ptr<BatchGather>& gather) {
   BatchResponse out;
   out.responses = std::move(gather->responses);
-  std::vector<Request> rep_ops;
-  std::vector<PartitionId> rep_parts;
-  std::vector<ReplicaPlan> rep_plans;
-  for (std::size_t i = 0; i < gather->ops.size(); ++i) {
-    if (!gather->replicate[i] || !out.responses[i].ok()) continue;
-    rep_ops.push_back(std::move(gather->ops[i]));
-    rep_parts.push_back(gather->partitions[i]);
-    rep_plans.push_back(std::move(gather->plans[i]));
-  }
   Response packed = PackBatchResponse(out, gather->seq, gather->epoch);
-  if (rep_ops.empty()) {
-    batch_hist_->Record(SystemClock::Instance().Now() - gather->start);
-    gather->done(std::move(packed));
-    return;
-  }
-  // Replication is peer I/O: a finisher runs it, then completes the
-  // carrier — the client's wait covers the synchronous secondary leg.
-  EnqueueFinisher(
-      [this, packed = std::move(packed), rep_ops = std::move(rep_ops),
-       rep_parts = std::move(rep_parts), rep_plans = std::move(rep_plans),
-       start = gather->start, done = std::move(gather->done)]() mutable {
-        ReplicateBatchResolved(std::move(rep_ops), rep_parts, rep_plans);
-        batch_hist_->Record(SystemClock::Instance().Now() - start);
-        done(std::move(packed));
-      });
+  batch_hist_->Record(SystemClock::Instance().Now() - gather->start);
+  gather->done(std::move(packed));
 }
 
 // ---------------------------------------------------------------------------
@@ -1750,6 +1764,7 @@ void ZhtServer::ReplicateSync(const Request& original, PartitionId partition,
       auto result = peer_transport_->Call(plan.addresses[i], leg,
                                           options_.cluster.peer_timeout);
       if (!result.ok()) {
+        counters_.replications_sync_failed->Increment();
         ZHT_WARN << "sync replication to " << plan.addresses[i].ToString()
                  << " failed: " << result.status().ToString();
       }
@@ -1799,6 +1814,7 @@ void ZhtServer::ReplicateBatchResolved(
     auto result = peer_transport_->CallBatch(group.first, group.second,
                                              options_.cluster.peer_timeout);
     if (!result.ok()) {
+      counters_.replications_sync_failed->Increment(group.second.size());
       ZHT_WARN << "sync batch replication to " << group.first.ToString()
                << " failed: " << result.status().ToString();
     }
@@ -1903,16 +1919,17 @@ void ZhtServer::FlushAsyncReplication() {
 }
 
 void ZhtServer::EnqueueFinisher(std::function<void()> job) {
+  const Nanos enqueued = SystemClock::Instance().Now();
   {
     std::lock_guard<std::mutex> lock(finisher_mu_);
-    finisher_queue_.push_back(std::move(job));
+    finisher_queue_.push_back(FinisherJob{std::move(job), enqueued});
   }
   finisher_cv_.notify_one();
 }
 
 void ZhtServer::FinisherLoop() {
   for (;;) {
-    std::function<void()> job;
+    FinisherJob job;
     {
       std::unique_lock<std::mutex> lock(finisher_mu_);
       finisher_cv_.wait(
@@ -1922,7 +1939,8 @@ void ZhtServer::FinisherLoop() {
       finisher_queue_.pop_front();
       ++finisher_busy_;
     }
-    job();
+    finisher_wait_hist_->Record(SystemClock::Instance().Now() - job.enqueued);
+    job.run();
     {
       std::lock_guard<std::mutex> lock(finisher_mu_);
       --finisher_busy_;
@@ -1943,6 +1961,7 @@ ZhtServerStats ZhtServer::stats() const {
   s.redirects = counters_.redirects->value();
   s.replications_sync = counters_.replications_sync->value();
   s.replications_async = counters_.replications_async->value();
+  s.replications_sync_failed = counters_.replications_sync_failed->value();
   s.migrations_out = counters_.migrations_out->value();
   s.migrations_in = counters_.migrations_in->value();
   s.migration_pairs_streamed = counters_.migration_pairs_streamed->value();

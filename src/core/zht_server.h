@@ -24,14 +24,18 @@
 //
 // Cross-partition operations are explicit scatter/gather messages with
 // completion counting: a BATCH spanning owners scatters per-shard groups
-// and the last group's durability callback finalizes the carrier; a
-// membership push applies on shard 0 (the epoch authority) then fans the
-// payload to every other shard before acking. Durability acks park on the
-// log's flusher via KVStore::NotifyDurable — no thread blocks in the
-// server for a group commit. Synchronous replication legs run on a small
-// finisher pool and partition transfers (migration and rebuild alike) on
-// the ordered async-replication worker, so shard drains never do network
-// I/O (DESIGN.md §7 "Partition transfer").
+// and whichever finishes last — a group's durability callback or the
+// carrier's replication legs, which the last group to apply sends —
+// finalizes the carrier; a membership push
+// applies on shard 0 (the epoch authority) then fans the payload to every
+// other shard before acking. Durability acks park on the log's flusher via
+// KVStore::NotifyDurable — no thread blocks in the server for a group
+// commit. A replicated write starts its synchronous leg when it applies,
+// beside its group commit, and acks once both are done. Synchronous
+// replication legs run on a small finisher pool and partition transfers
+// (migration and rebuild alike) on the ordered async-replication worker,
+// so shard drains never do network I/O (DESIGN.md §7 "Partition
+// transfer").
 //
 // Blocking adapters (Handle, MigratePartitionTo, RepairPartition,
 // TotalEntries, MetricsSnapshotNow; all built on Await in common/await.h)
@@ -108,6 +112,9 @@ struct ZhtServerStats {
   std::uint64_t redirects = 0;        // wrong-owner requests answered
   std::uint64_t replications_sync = 0;
   std::uint64_t replications_async = 0;
+  // Synchronous legs whose call failed; the op still acks with the copies
+  // that landed (DESIGN.md §10, "Ack discipline in the server").
+  std::uint64_t replications_sync_failed = 0;
   std::uint64_t migrations_out = 0;
   std::uint64_t migrations_in = 0;
   // Pair/byte volume of completed outbound partition migrations (key+value
@@ -394,20 +401,36 @@ class ZhtServer {
   };
 
   // Scatter/gather state for a BATCH spanning shard owners. Each shard
-  // group fills its own disjoint response slots; the last group to finish
-  // its durability wait finalizes the carrier.
+  // group fills its own disjoint response and plan slots; the last group
+  // to finish applying sends the carrier's sync replication legs, and
+  // whichever finishes last — a group's durability wait or those legs —
+  // finalizes the carrier.
   struct BatchGather {
     std::uint64_t seq = 0;
     std::uint32_t epoch = 0;
     Nanos start = 0;
     std::vector<Request> ops;
     std::vector<Response> responses;
-    std::vector<char> replicate;        // sub-op needs a replication leg
     std::vector<PartitionId> partitions;
-    std::vector<ReplicaPlan> plans;
+    std::vector<std::optional<ReplicaPlan>> plans;  // sub-ops with a leg
     std::atomic<bool> delta_sent{false};  // one membership delta per batch
-    std::atomic<std::size_t> remaining{0};  // shard groups still running
+    std::atomic<std::size_t> applying{0};  // shard groups still applying
+    // Shard groups still waiting for durability, plus the carrier's
+    // replication legs while they are in flight.
+    std::atomic<std::size_t> remaining{0};
     ResponseCallback done;
+  };
+
+  // Ack of a replicated single-key mutation: the sync replication leg and,
+  // on a durable store, the group commit run at once, and whichever
+  // finishes last sends the response. `pending` starts at 2 on a durable
+  // store and 1 otherwise; the durability callback alone writes `resp`.
+  struct AckJoin {
+    Response resp;
+    ResponseCallback done;
+    OpCode op = OpCode::kInsert;
+    Nanos start = 0;
+    std::atomic<int> pending{0};
   };
 
   // Gather state for a membership push fanned out to every shard.
@@ -468,6 +491,7 @@ class ZhtServer {
   void StartBatch(Request&& request, ResponseCallback done);  // ingress
   void ExecBatchGroup(Shard& shard, const std::shared_ptr<BatchGather>& gather,
                       std::vector<std::size_t> indices);
+  void BatchGroupApplied(const std::shared_ptr<BatchGather>& gather);
   void CompleteBatchGroup(const std::shared_ptr<BatchGather>& gather);
   void FinalizeBatch(const std::shared_ptr<BatchGather>& gather);
 
@@ -547,8 +571,11 @@ class ZhtServer {
                        std::shared_ptr<Status> stream = nullptr);
   void AsyncReplicationLoop();
 
+  // Every job records how long it queued before a finisher started it in
+  // `server.stage.finisher_wait_ns`.
   void EnqueueFinisher(std::function<void()> job);
   void FinisherLoop();
+  void FinishAckJoin(AckJoin& join);
 
   void RecordDataOpLatency(OpCode op, Nanos start);
   void OnRequestComplete();
@@ -594,6 +621,7 @@ class ZhtServer {
   Histogram* batch_hist_ = nullptr;       // whole-batch service time
   Histogram* batch_size_hist_ = nullptr;  // sub-ops per BATCH envelope
   Histogram* replication_fanout_hist_ = nullptr;  // replicas per mutation
+  Histogram* finisher_wait_hist_ = nullptr;  // finisher job enqueue → start
   // One registry counter per event, named after the ZhtServerStats field
   // it fills; the constructor gives each its `server.*` registry name.
   struct EventCounters {
@@ -601,6 +629,7 @@ class ZhtServer {
     Counter* redirects = nullptr;
     Counter* replications_sync = nullptr;
     Counter* replications_async = nullptr;
+    Counter* replications_sync_failed = nullptr;
     Counter* migrations_out = nullptr;
     Counter* migrations_in = nullptr;
     Counter* migration_pairs_streamed = nullptr;
@@ -637,7 +666,11 @@ class ZhtServer {
   // Separate CV for idle waiters (FlushAsyncReplication): EnqueueFinisher's
   // notify_one must always wake a worker, never a flusher.
   std::condition_variable finisher_idle_cv_;
-  std::deque<std::function<void()>> finisher_queue_;
+  struct FinisherJob {
+    std::function<void()> run;
+    Nanos enqueued = 0;
+  };
+  std::deque<FinisherJob> finisher_queue_;
   std::size_t finisher_busy_ = 0;
   bool finishers_stop_ = false;
   std::vector<std::thread> finishers_;

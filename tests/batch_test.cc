@@ -5,7 +5,9 @@
 // the client Multi* API end-to-end.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <set>
 #include <thread>
 
 #include "common/rng.h"
@@ -335,6 +337,49 @@ TEST(BatchReplicationTest, BatchedInsertsReachAllReplicas) {
     total += (*cluster)->server(i)->TotalEntries();
   }
   EXPECT_EQ(total, pairs.size() * 3);
+}
+
+// A carrier whose sub-ops land in every shard group of the primary still
+// replicates as one sync carrier to its replica, not one per group.
+TEST(BatchReplicationTest, ShardSpanningCarrierSendsOneLegCarrier) {
+  LoopbackNetwork network;
+  const std::vector<NodeAddress> addresses = {NodeAddress{"10.0.0.1", 50000},
+                                              NodeAddress{"10.0.0.2", 50000}};
+  const MembershipTable table = MembershipTable::CreateUniform(16, addresses);
+  LoopbackTransport transport(&network);
+  ZhtServerOptions options;
+  options.cluster.num_replicas = 1;
+  options.num_shards = 4;
+  options.self = 1;
+  ZhtServer replica(table, options, &transport);
+  std::atomic<int> leg_carriers{0};
+  network.Register(addresses[1],
+                   [&leg_carriers, handler = replica.AsyncHandler()](
+                       Request&& request, ResponseCallback done) {
+                     if (request.op == OpCode::kBatch) ++leg_carriers;
+                     handler(std::move(request), std::move(done));
+                   });
+  options.self = 0;
+  ZhtServer primary(table, options, &transport);
+
+  // One key per shard of instance 0 (partition p runs on shard p % 4).
+  std::vector<Request> ops;
+  std::set<std::size_t> shards;
+  for (int i = 0; shards.size() < options.num_shards && i < 100000; ++i) {
+    const std::string key = "span-" + std::to_string(i);
+    const PartitionId p = table.PartitionOfKey(key);
+    if (table.OwnerOf(p) != 0 || !shards.insert(p % 4).second) continue;
+    ops.push_back(DataOp(OpCode::kInsert, key, "v", ops.size() + 1));
+  }
+  ASSERT_EQ(ops.size(), options.num_shards);
+
+  auto subs = UnpackBatchResponse(
+      primary.Handle(PackBatchRequest(ops, 1)), ops.size());
+  ASSERT_TRUE(subs.ok());
+  for (const Response& sub : *subs) EXPECT_TRUE(sub.ok());
+  EXPECT_EQ(leg_carriers.load(), 1);
+  EXPECT_EQ(replica.TotalEntries(), ops.size());
+  EXPECT_EQ(primary.stats().replications_sync, ops.size());
 }
 
 // ---- Batches under injected faults -------------------------------------

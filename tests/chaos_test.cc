@@ -9,9 +9,13 @@
 // interleaving (the one `threaded` schedule uses only faults that cannot
 // change outcomes — delays and duplicates).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -158,7 +162,9 @@ TEST(HistoryCheckerTest, TornLedgerValueIsFlagged) {
 
 // ---- live chaos schedules ----------------------------------------------
 
-enum class MidEvent { kNone, kKill, kJoin };
+// kCrashWindow kills the victim while it holds a write its secondary has
+// already acked but its own fsync has not yet covered (CrashInCommitWindow).
+enum class MidEvent { kNone, kKill, kJoin, kCrashWindow };
 
 struct ChaosSchedule {
   const char* name;
@@ -202,6 +208,50 @@ ZhtClientOptions ChaosClient() {
   return options;
 }
 
+// Holds one fsync of one partition store until the test releases it, then
+// fails it: the process died before the sync returned. Other fsyncs pass.
+class CommitGate {
+ public:
+  void Arm(PartitionId partition) {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = partition;
+  }
+
+  int Sync(PartitionId partition, int fd) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (armed_ != partition) {
+      lock.unlock();
+      return ::fdatasync(fd);
+    }
+    armed_.reset();
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(10), [this] { return released_; });
+    errno = EIO;
+    return -1;
+  }
+
+  // True once the armed fsync is being held (waits up to `bound`).
+  bool AwaitEntered(std::chrono::milliseconds bound) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, bound, [this] { return entered_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_.reset();
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<PartitionId> armed_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
 class ChaosHarness {
  public:
   ChaosHarness(const ChaosSchedule& schedule, fs::path dir)
@@ -216,7 +266,12 @@ class ChaosHarness {
     fs::path dir = dir_;
     DurabilityMode durability = schedule_.durability;
     Nanos latency = schedule_.max_commit_latency;
-    return [dir, durability, latency](
+    // Only the crash-window victim's stores sync through the gate.
+    std::optional<InstanceId> gated;
+    if (schedule_.mid == MidEvent::kCrashWindow) {
+      gated = static_cast<InstanceId>(schedule_.victim);
+    }
+    return [dir, durability, latency, gated, gate = gate_](
                InstanceId self,
                PartitionId partition) -> std::unique_ptr<KVStore> {
       NoVoHTOptions options;
@@ -228,6 +283,11 @@ class ChaosHarness {
       // The server acks once per request via the last_commit_token() /
       // WaitDurable() handshake; the store must not block internally.
       options.wait_for_durable = false;
+      if (gated == self) {
+        options.fsync_hook = [gate, partition](int fd) {
+          return gate->Sync(partition, fd);
+        };
+      }
       auto store = NoVoHT::Open(options);
       return store.ok() ? std::move(*store) : nullptr;
     };
@@ -319,6 +379,9 @@ class ChaosHarness {
           ASSERT_TRUE(joined.ok()) << joined.status().ToString();
           break;
         }
+        case MidEvent::kCrashWindow:
+          CrashInCommitWindow(victim);
+          break;
       }
     }
 
@@ -369,6 +432,79 @@ class ChaosHarness {
       auto got = client.Lookup(key);
       recorder_.End(op, got.status().code(), got.ok() ? *got : "");
     }
+  }
+
+  // One recorded insert to a register key `victim` is primary for. The
+  // victim's fsync of that write is held until its secondary has acked the
+  // sync leg; then the victim is killed and the fsync fails, as if the
+  // process died inside it. The reply is lost with the process (a dropped
+  // response), so the op is ambiguous unless the client's retry lands it on
+  // the secondary. Acked writes must still survive the restart.
+  void CrashInCommitWindow(std::size_t victim) {
+    const MembershipTable table = cluster_->TableSnapshot();
+    std::string key;
+    PartitionId partition = 0;
+    for (int i = 0; i < kRegisterKeys && key.empty(); ++i) {
+      partition = table.PartitionOfKey(RegisterKey(i));
+      if (table.OwnerOf(partition) == victim) key = RegisterKey(i);
+    }
+    ASSERT_FALSE(key.empty()) << "no register key on instance " << victim;
+    const std::vector<InstanceId> chain =
+        table.ReplicaChain(partition, schedule_.replicas);
+    ASSERT_GE(chain.size(), 2u);
+    ZhtServer& secondary = *cluster_->server(chain[1]);
+    auto legs_acked = [&secondary] {
+      const MetricsSnapshot snapshot = secondary.MetricsSnapshotNow();
+      const MetricValue* inserts = snapshot.Find("server.op.insert.latency_ns");
+      return inserts == nullptr ? std::uint64_t{0} : inserts->histogram.count;
+    };
+
+    constexpr std::uint64_t kWindowClient = 77;
+    auto client = cluster_->CreateClient(ChaosClient());
+    // Opens the victim's and the secondary's stores before the gate arms.
+    std::uint64_t op = recorder_.Begin(kWindowClient, OpCode::kInsert, key,
+                                       "window_warm");
+    recorder_.End(op, client->Insert(key, "window_warm").code());
+    const std::uint64_t acked_before = legs_acked();
+
+    const int lost_reply = plan_->AddRule(
+        {.kind = FaultKind::kDropResponse,
+         .to = cluster_->instance_address(victim),
+         .op = OpCode::kInsert,
+         .client_only = true,
+         .max_faults = 1});
+    gate_->Arm(partition);
+    StatusCode result = StatusCode::kOk;
+    std::thread writer([&] {
+      const std::uint64_t id = recorder_.Begin(kWindowClient, OpCode::kInsert,
+                                               key, "window_inflight");
+      result = client->Insert(key, "window_inflight").code();
+      recorder_.End(id, result);
+    });
+    const bool held = gate_->AwaitEntered(std::chrono::seconds(2));
+    bool window = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (held && std::chrono::steady_clock::now() < deadline) {
+      if (legs_acked() > acked_before) {
+        window = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    cluster_->KillInstance(victim);
+    gate_->Release();
+    writer.join();
+    plan_->RemoveRule(lost_reply);
+
+    EXPECT_TRUE(held) << "the victim's fsync of the write was never held";
+    EXPECT_TRUE(window)
+        << "the secondary did not ack the leg before the primary's fsync";
+    // The victim's kInternal reply is lost with it: the client sees the
+    // write either ambiguous or, after failing over, acked.
+    EXPECT_TRUE(result == StatusCode::kOk || result == StatusCode::kTimeout ||
+                result == StatusCode::kUnavailable)
+        << StatusCodeName(result);
   }
 
   void RecordedReadAll(ZhtClient& client) {
@@ -427,6 +563,7 @@ class ChaosHarness {
 
   const ChaosSchedule& schedule_;
   fs::path dir_;
+  std::shared_ptr<CommitGate> gate_ = std::make_shared<CommitGate>();
   std::shared_ptr<FaultPlan> plan_;
   std::unique_ptr<LocalCluster> cluster_;
   HistoryRecorder recorder_;
@@ -564,6 +701,29 @@ INSTANTIATE_TEST_SUITE_P(
                          .probability = 0.15}},
                        {}},
             .mid = MidEvent::kKill,
+            .victim = 2,
+            .durability = DurabilityMode::kGroupCommit,
+            .max_commit_latency = 200 * kNanosPerMicro,
+        },
+        ChaosSchedule{
+            // The window the overlapped ack opens: the secondary holds and
+            // has acked a write whose primary dies inside its own fsync.
+            // That write was never acked by the primary, so it may only
+            // be ambiguous; every acked op must survive the restart.
+            .name = "crash_window_group_commit_r1",
+            .seed = 1212,
+            .replicas = 1,
+            .instances = 4,
+            .clients = 2,
+            .ops_per_phase = 40,
+            .phases = {{{.kind = FaultKind::kDropRequest,
+                         .client_only = true,
+                         .probability = 0.2}},
+                       {{.kind = FaultKind::kDropResponse,
+                         .client_only = true,
+                         .probability = 0.15}},
+                       {}},
+            .mid = MidEvent::kCrashWindow,
             .victim = 2,
             .durability = DurabilityMode::kGroupCommit,
             .max_commit_latency = 200 * kNanosPerMicro,

@@ -5,8 +5,10 @@
 // window. PersistentTransferTest runs the transfer on persistent stores,
 // InstanceLogServerTest runs servers on the shared instance log and
 // TransferStreamTest cancels a stream whose Begin failed (ctest label
-// `recovery`).
+// `recovery`). ReplicatedAckTest covers the ack of a replicated write: a
+// failed sync leg is counted, and the leg runs beside the group commit.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -16,6 +18,7 @@
 #include <set>
 #include <thread>
 
+#include "core/local_cluster.h"
 #include "core/zht_server.h"
 #include "net/loopback.h"
 #include "novoht/novoht.h"
@@ -420,6 +423,7 @@ TEST_F(ZhtServerUnitTest, StatsReplicationMetrics) {
       {"server.redirects", stats.redirects},
       {"server.replication.sync", stats.replications_sync},
       {"server.replication.async", stats.replications_async},
+      {"server.replication.sync_failed", stats.replications_sync_failed},
       {"server.migrations.out", stats.migrations_out},
       {"server.migrations.in", stats.migrations_in},
       {"server.migration.pairs_streamed", stats.migration_pairs_streamed},
@@ -811,6 +815,163 @@ TEST(TransferStreamTest, FailedBeginCancelsTheRestOfTheStream) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(900));
   // The partition stays with its owner, whole.
   EXPECT_EQ(server.PartitionPairs(p).size(), 36u);
+}
+
+// ---- Ack of a replicated write -------------------------------------------
+
+// Two instances, one replica: instance 0 is the primary of the partitions it
+// owns and instance 1 their sync secondary.
+LocalClusterOptions TwoInstancesOneReplica() {
+  LocalClusterOptions options;
+  options.num_instances = 2;
+  options.num_partitions = 16;
+  options.cluster.num_replicas = 1;
+  return options;
+}
+
+// `count` keys of one partition that instance 0 owns.
+std::vector<std::string> KeysOfOnePrimaryPartition(const MembershipTable& table,
+                                                   std::size_t count) {
+  std::vector<std::string> keys;
+  PartitionId partition = 0;
+  for (int i = 0; keys.size() < count && i < 100000; ++i) {
+    std::string key = "ack-" + std::to_string(i);
+    const PartitionId p = table.PartitionOfKey(key);
+    if (table.OwnerOf(p) != 0 || (!keys.empty() && p != partition)) continue;
+    partition = p;
+    keys.push_back(std::move(key));
+  }
+  EXPECT_EQ(keys.size(), count);
+  return keys;
+}
+
+TEST(ReplicatedAckTest, FailedSyncLegsAreCountedAndTheOpStillAcks) {
+  LocalClusterOptions options = TwoInstancesOneReplica();
+  options.fault_plan = std::make_shared<FaultPlan>(17);
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const MembershipTable table = (*cluster)->TableSnapshot();
+  const std::vector<std::string> keys = KeysOfOnePrimaryPartition(table, 4);
+  const PartitionId p = table.PartitionOfKey(keys[0]);
+  ZhtServer& primary = *(*cluster)->server(0);
+  ZhtServer& replica = *(*cluster)->server(1);
+  auto client = (*cluster)->CreateClient();
+
+  // The single-key leg to the replica is lost: the op acks with the
+  // primary's copy, and the lost leg is counted.
+  const int single = options.fault_plan->AddRule(
+      {.kind = FaultKind::kDropRequest,
+       .to = (*cluster)->instance_address(1),
+       .op = OpCode::kInsert,
+       .max_faults = 1});
+  ASSERT_TRUE(client->Insert(keys[0], "v0").ok());
+  options.fault_plan->RemoveRule(single);
+  EXPECT_EQ(primary.stats().replications_sync_failed, 1u);
+  EXPECT_TRUE(replica.PartitionPairs(p).empty());
+
+  // A batch's sync leg is one carrier per target: losing it counts each of
+  // its ops. The keys share a partition, so they form one shard group.
+  const int batch = options.fault_plan->AddRule(
+      {.kind = FaultKind::kDropRequest,
+       .to = (*cluster)->instance_address(1),
+       .op = OpCode::kBatch,
+       .max_faults = 1});
+  const std::vector<KeyValue> pairs = {
+      {keys[1], "v1"}, {keys[2], "v2"}, {keys[3], "v3"}};
+  for (const Status& status : client->MultiInsert(pairs)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  options.fault_plan->RemoveRule(batch);
+  EXPECT_EQ(primary.stats().replications_sync_failed, 4u);
+  EXPECT_EQ(primary.MetricsSnapshotNow().ValueOf(
+                "server.replication.sync_failed"),
+            4);
+  EXPECT_TRUE(replica.PartitionPairs(p).empty());
+
+  // Legs that land are not failures.
+  ASSERT_TRUE(client->Insert(keys[0], "v4").ok());
+  EXPECT_EQ(primary.stats().replications_sync_failed, 4u);
+  EXPECT_EQ(replica.PartitionPairs(p).size(), 1u);
+}
+
+// The primary's group commit must not hold back its sync leg: its fsync
+// waits until the replica holds the write and only then syncs. If the leg
+// started only after that fsync, the wait would run out.
+TEST(ReplicatedAckTest, SyncLegOverlapsTheLocalGroupCommit) {
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("zht_overlap_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  struct Gate {
+    std::atomic<bool> armed{false};
+    std::atomic<int> held{0};        // fsyncs that waited for the replica
+    std::atomic<bool> timed_out{false};
+    PartitionId partition = 0;
+    std::function<bool()> replica_holds;  // set before arming
+  };
+  auto gate = std::make_shared<Gate>();
+
+  LocalClusterOptions options = TwoInstancesOneReplica();
+  options.cluster.durability = DurabilityMode::kGroupCommit;
+  // Longer than the gate's bound, so the bound alone decides the outcome.
+  options.cluster.op_timeout = 5 * kNanosPerSec;
+  options.store_factory = [dir, gate](InstanceId self, PartitionId p)
+      -> std::unique_ptr<KVStore> {
+    NoVoHTOptions store;
+    store.path = (dir / ("i" + std::to_string(self) + "_p" +
+                         std::to_string(p)))
+                     .string();
+    store.durability = DurabilityMode::kGroupCommit;
+    store.wait_for_durable = false;
+    if (self == 0) {
+      store.fsync_hook = [gate, p](int fd) {
+        // `partition` and `replica_holds` are written before `armed`.
+        if (gate->armed.load() && p == gate->partition &&
+            gate->armed.exchange(false)) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (!gate->replica_holds()) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              gate->timed_out = true;
+              break;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          gate->held.fetch_add(1);
+        }
+        return ::fdatasync(fd);
+      };
+    }
+    auto opened = NoVoHT::Open(store);
+    return opened.ok() ? std::move(*opened) : nullptr;
+  };
+  {
+    auto cluster = LocalCluster::Start(options);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    const std::string key =
+        KeysOfOnePrimaryPartition((*cluster)->TableSnapshot(), 1)[0];
+    const PartitionId p = (*cluster)->TableSnapshot().PartitionOfKey(key);
+    ZhtServer* replica = (*cluster)->server(1);
+    auto client = (*cluster)->CreateClient();
+    // Opens both stores before the gate is armed.
+    ASSERT_TRUE(client->Insert(key, "warm").ok());
+
+    gate->partition = p;
+    gate->replica_holds = [replica, p, key] {
+      for (const auto& [k, v] : replica->PartitionPairs(p)) {
+        if (k == key) return v == "overlapped";
+      }
+      return false;
+    };
+    gate->armed = true;
+    const Status inserted = client->Insert(key, "overlapped");
+    EXPECT_TRUE(inserted.ok()) << inserted.ToString();
+    EXPECT_EQ(gate->held.load(), 1);
+    EXPECT_FALSE(gate->timed_out.load())
+        << "the sync leg did not start until the primary's fsync returned";
+    EXPECT_EQ(*client->Lookup(key), "overlapped");
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
