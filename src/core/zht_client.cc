@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <random>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/clock.h"
@@ -142,263 +141,145 @@ void ZhtClient::ReportFailure(InstanceId instance) {
 Result<Response> ZhtClient::Execute(OpCode op, std::string_view key,
                                     std::string_view value) {
   const Stopwatch watch(SystemClock::Instance());
-  auto result = ExecuteInternal(op, key, value);
-  const auto op_index = static_cast<std::size_t>(op) - 1;
-  if (op_index < 4) op_hist_[op_index]->Record(watch.Elapsed());
+  Result<Response> result(StatusCode::kTimeout);
+  ExecuteBatch(op, {&key, 1}, {&value, 1}, {&result, 1});
+  op_hist_[static_cast<std::size_t>(op) - 1]->Record(watch.Elapsed());
   return result;
 }
 
-Result<Response> ZhtClient::ExecuteInternal(OpCode op, std::string_view key,
-                                            std::string_view value) {
-  counters_.ops->Increment();
-  int replica_try = 0;
-  // Tracks the most recent transport-level failure so exhaustion can
-  // distinguish a slow cluster (kTimeout) from a dead one (kUnavailable).
-  StatusCode last_transport = StatusCode::kTimeout;
-  // One sequence number per logical operation: retries and transport
-  // retransmissions carry the same (client_id, seq), so the server's
-  // dedup window makes append at-most-once.
-  const std::uint64_t op_seq = next_seq_++;
-  Nanos migrating_wait = 0;  // grows per kMigrating retry of this op
-  Nanos shed_wait = 0;       // grows per admission-control shed of this op
-  // Three independent retry pools (see ZhtClientOptions::max_attempts):
-  // `attempt` covers transport failures, failovers, and redirects;
-  // migrating retries and shed backoffs each draw from their own budget so
-  // a shed+migrating overlap under churn cannot exhaust the op spuriously.
-  int attempt = 0;
-  int migrating_retries = 0;
-  int shed_retries = 0;
-
-  while (attempt < options_.max_attempts) {
-    PartitionId partition = table_.PartitionOfKey(key);
-    auto chain = table_.ReplicaChain(partition, options_.cluster.num_replicas);
-    if (chain.empty()) {
-      return Status(StatusCode::kUnavailable, "no alive instance for key");
-    }
-    if (replica_try >= static_cast<int>(chain.size())) {
-      if (op == OpCode::kLookup) {
-        // Read-only and side-effect free: as long as some chain member is
-        // still believed alive, wrap around and walk the chain again (the
-        // attempt budget bounds this) instead of reporting the partition
-        // unavailable — a transient failure burst should not blind reads.
-        bool any_alive = false;
-        for (InstanceId member : chain) {
-          if (table_.Instance(member).alive) {
-            any_alive = true;
-            break;
-          }
-        }
-        if (any_alive) {
-          replica_try = 0;
-          ++attempt;
-          continue;
-        }
-      }
-      return Status(StatusCode::kUnavailable,
-                    "all replicas of partition " + std::to_string(partition) +
-                        " unreachable");
-    }
-    InstanceId target = chain[static_cast<std::size_t>(replica_try)];
-    if (!table_.Instance(target).alive) {
-      // Known-dead (locally marked) node still heads the chain until a
-      // membership update reassigns ownership; skip without a network hop.
-      ++replica_try;
-      continue;
-    }
-    const NodeAddress& address = table_.Instance(target).address;
-
-    Request request;
-    request.op = op;
-    request.seq = op_seq;
-    request.key.assign(key);
-    request.value.assign(value);
-    request.epoch = table_.epoch();
-    request.replica_index = static_cast<std::uint8_t>(replica_try);
-    request.client_id = client_id_;
-
-    auto result =
-        transport_->Call(address, request, options_.cluster.op_timeout);
-
-    if (!result.ok()) {
-      // Transport failure: exponential back-off, then either retry the
-      // same node or fail over to the next replica once the detector
-      // declares it dead. Reads falling back this way land on the sync
-      // secondary, which holds every acked mutation (the secondary leg
-      // completes before the primary acks), so failover lookups stay
-      // consistent while the owner is down or its partitions rebuild.
-      last_transport = result.status().code();
-      counters_.retries->Increment();
-      Backoff(detector_.BackoffFor(address));
-      if (detector_.RecordFailure(address)) {
-        ReportFailure(target);
-        transport_->Invalidate(address);
-        counters_.failovers->Increment();
-        ++replica_try;
-      }
-      ++attempt;
-      continue;
-    }
-    detector_.RecordSuccess(address);
-
-    StatusCode code = static_cast<StatusCode>(result->status);
-    if (code == StatusCode::kRedirect) {
-      counters_.redirects_followed->Increment();
-      bool applied = false;
-      if (!result->membership.empty()) {
-        applied = ApplyMembership(result->membership).ok();
-      }
-      if (!applied) {
-        // Delta missing or did not apply (e.g. we were too far behind):
-        // pull a snapshot from the node that redirected us — coalesced to
-        // one pull per epoch across the whole redirect storm.
-        MaybePullMembership(address, result->epoch);
-      }
-      replica_try = 0;
-      ++attempt;
-      continue;
-    }
-    if (code == StatusCode::kMigrating) {
-      if (++migrating_retries >= options_.max_attempts) {
-        return Status(StatusCode::kTimeout,
-                      "partition " + std::to_string(partition) +
-                          " stuck migrating");
-      }
-      counters_.retries->Increment();
-      // Jittered growth desynchronizes the herd stuck behind one
-      // migration; the fixed base is kept when sleeps are disabled so
-      // simulated-time tests stay deterministic (no RNG draw).
-      migrating_wait =
-          options_.sleep_on_backoff
-              ? DecorrelatedBackoff(migrating_wait, options_.migrating_backoff,
-                                    options_.migrating_backoff_cap,
-                                    backoff_rng_)
-              : options_.migrating_backoff;
-      Backoff(migrating_wait);
-      continue;
-    }
-    if (code == StatusCode::kUnavailable && result->retry_after_us > 0 &&
-        shed_retries + 1 < options_.max_attempts) {
-      // The server shed this op under admission control and told us how
-      // long to stay away; honor the hint through the same decorrelated
-      // jitter as migration waits so a shed flash crowd spreads out
-      // instead of re-arriving as a synchronized wave. The final shed
-      // retry falls through and surfaces the kUnavailable to the caller.
-      ++shed_retries;
-      counters_.retries->Increment();
-      counters_.shed_backoffs->Increment();
-      const Nanos hint = static_cast<Nanos>(result->retry_after_us) * 1000;
-      shed_wait = options_.sleep_on_backoff
-                      ? DecorrelatedBackoff(
-                            shed_wait, hint,
-                            std::max(hint, options_.migrating_backoff_cap),
-                            backoff_rng_)
-                      : hint;
-      Backoff(shed_wait);
-      continue;
-    }
-    return *result;
-  }
-  if (last_transport == StatusCode::kNetwork) {
-    return Status(StatusCode::kUnavailable, "node unreachable");
-  }
-  return Status(StatusCode::kTimeout, "attempts exhausted");
+std::vector<Result<Response>> ZhtClient::ExecuteMulti(
+    OpCode op, std::span<const std::string_view> keys,
+    std::span<const std::string_view> values) {
+  const Stopwatch watch(SystemClock::Instance());
+  batch_size_hist_->Record(static_cast<std::int64_t>(keys.size()));
+  std::vector<Result<Response>> results(keys.size(),
+                                        Status(StatusCode::kTimeout));
+  ExecuteBatch(op, keys, values, results);
+  batch_hist_->Record(watch.Elapsed());
+  return results;
 }
 
-std::vector<Result<Response>> ZhtClient::ExecuteBatch(
-    OpCode op, std::span<const std::string> keys,
-    std::span<const std::string> values) {
-  const Stopwatch watch(SystemClock::Instance());
+void ZhtClient::ExecuteBatch(OpCode op, std::span<const std::string_view> keys,
+                             std::span<const std::string_view> values,
+                             std::span<Result<Response>> results) {
   const std::size_t n = keys.size();
   counters_.ops->Increment(n);
-  batch_size_hist_->Record(static_cast<std::int64_t>(n));
-  std::vector<Result<Response>> results(
-      n, Result<Response>(Status(StatusCode::kTimeout, "attempts exhausted")));
-  if (n == 0) return results;
+  if (n == 0) return;
 
-  // One sequence number per sub-operation, fixed across retries and
-  // retransmitted carriers: the server dedups appends on (client_id, seq).
-  std::vector<std::uint64_t> seqs(n);
-  for (auto& seq : seqs) seq = next_seq_++;
-
-  std::vector<int> replica_try(n, 0);
-  std::vector<StatusCode> last_transport(n, StatusCode::kTimeout);
+  struct KeyState {
+    // One sequence number per key, fixed across retries and retransmitted
+    // carriers: the server dedups appends on (client_id, seq).
+    std::uint64_t seq = 0;
+    int replica_try = 0;  // chain position this key is sent to
+    // The latest transport-level failure, so exhaustion can tell a slow
+    // cluster (kTimeout) from a dead one (kUnavailable).
+    StatusCode last_transport = StatusCode::kTimeout;
+    bool done = false;  // results[i] holds the key's final outcome
+  };
+  std::vector<KeyState> state(n);
+  for (KeyState& key : state) key.seq = next_seq_++;
+  std::size_t open = n;  // keys not yet done
+  auto finish = [&](std::size_t i, Result<Response> result) {
+    results[i] = std::move(result);
+    state[i].done = true;
+    --open;
+  };
   Nanos migrating_wait = 0;  // grows per round that saw kMigrating
   Nanos shed_wait = 0;       // grows per round that saw a shed
-  std::vector<std::size_t> pending(n);
-  for (std::size_t i = 0; i < n; ++i) pending[i] = i;
 
-  // Mirror of ExecuteInternal's separated retry pools, per round: rounds
-  // that saw a transport failure or redirect consume the hard budget;
-  // rounds that only waited out a migration or a shed draw from their own
-  // pools, so overlapping stalls cannot exhaust the batch spuriously.
+  // Three independent retry pools (see ZhtClientOptions::max_attempts),
+  // counted per round: rounds that saw a transport failure or redirect
+  // consume the hard budget; rounds that only waited out a migration or a
+  // shed draw from their own pools, so overlapping stalls under churn
+  // cannot exhaust the call spuriously.
   int hard_rounds = 0;
   int migrating_rounds = 0;
   int shed_rounds = 0;
 
-  while (!pending.empty() && hard_rounds < options_.max_attempts &&
+  while (open > 0 && hard_rounds < options_.max_attempts &&
          migrating_rounds < options_.max_attempts &&
          shed_rounds < options_.max_attempts) {
-    // Shard the still-pending keys by target instance: the primary for
-    // most, further down the chain for sub-ops already failing over.
-    std::unordered_map<InstanceId, std::vector<std::size_t>> shards;
-    std::vector<std::size_t> still_pending;
-    for (std::size_t i : pending) {
+    // Shard the open keys by target instance: the primary for most,
+    // further down the chain for keys already failing over. Sorted
+    // (target, key index) pairs group each target's keys in input order.
+    std::vector<std::pair<InstanceId, std::size_t>> placements;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (state[i].done) continue;
       PartitionId partition = table_.PartitionOfKey(keys[i]);
       auto chain =
           table_.ReplicaChain(partition, options_.cluster.num_replicas);
       if (chain.empty()) {
-        results[i] =
-            Status(StatusCode::kUnavailable, "no alive instance for key");
+        finish(i,
+               Status(StatusCode::kUnavailable, "no alive instance for key"));
         continue;
       }
+      int& replica_try = state[i].replica_try;
       bool placed = false;
       for (int pass = 0; pass < 2 && !placed; ++pass) {
-        while (replica_try[i] < static_cast<int>(chain.size())) {
-          InstanceId target = chain[static_cast<std::size_t>(replica_try[i])];
+        while (replica_try < static_cast<int>(chain.size())) {
+          InstanceId target = chain[static_cast<std::size_t>(replica_try)];
           if (!table_.Instance(target).alive) {
-            ++replica_try[i];  // locally known dead: skip without a hop
+            // Known-dead (locally marked) node still heads the chain until
+            // a membership update reassigns ownership: skip without a hop.
+            ++replica_try;
             continue;
           }
-          shards[target].push_back(i);
+          placements.emplace_back(target, i);
           placed = true;
           break;
         }
-        // Read-only sub-ops wrap and re-walk the chain (mirroring
-        // ExecuteInternal) as long as some member is still believed
-        // alive; the attempt budget bounds the re-walks.
-        if (!placed && op == OpCode::kLookup) replica_try[i] = 0;
+        // Lookups are read-only and side-effect free: they wrap and walk
+        // the chain again as long as some member is still believed alive
+        // (the attempt budget bounds the re-walks), so a transient failure
+        // burst does not blind reads.
+        if (!placed && op == OpCode::kLookup) replica_try = 0;
       }
       if (!placed) {
-        results[i] = Status(StatusCode::kUnavailable,
-                            "all replicas of partition " +
-                                std::to_string(partition) + " unreachable");
+        finish(i, Status(StatusCode::kUnavailable,
+                         "all replicas of partition " +
+                             std::to_string(partition) + " unreachable"));
       }
     }
 
     bool hard_seen = false;  // transport failure or redirect this round
     bool migrating_seen = false;
     Nanos shed_hint = 0;  // largest retry-after seen this round (0 = none)
-    for (auto& [target, indices] : shards) {
+    std::sort(placements.begin(), placements.end());
+    for (auto begin = placements.begin(); begin != placements.end();) {
+      const InstanceId target = begin->first;
+      const auto end = std::find_if(begin, placements.end(),
+                                    [target](const auto& placement) {
+                                      return placement.first != target;
+                                    });
+      const std::span<const std::pair<InstanceId, std::size_t>> shard(begin,
+                                                                      end);
+      begin = end;
       const NodeAddress address = table_.Instance(target).address;
-      std::vector<Request> batch;
-      batch.reserve(indices.size());
-      for (std::size_t i : indices) {
-        Request request;
+      std::vector<Request> batch(shard.size());
+      for (std::size_t j = 0; j < shard.size(); ++j) {
+        const std::size_t i = shard[j].second;
+        Request& request = batch[j];
         request.op = op;
-        request.seq = seqs[i];
-        request.key = keys[i];
-        if (!values.empty()) request.value = values[i];
+        request.seq = state[i].seq;
+        request.key.assign(keys[i]);
+        if (!values.empty()) request.value.assign(values[i]);
         request.epoch = table_.epoch();
-        request.replica_index = static_cast<std::uint8_t>(replica_try[i]);
+        request.replica_index =
+            static_cast<std::uint8_t>(state[i].replica_try);
         request.client_id = client_id_;
-        batch.push_back(std::move(request));
       }
 
+      // A one-key shard goes out as one plain request (see CallBatch).
       auto replies =
           transport_->CallBatch(address, batch, options_.cluster.op_timeout);
       if (!replies.ok()) {
-        // The shard shared one network exchange: back off once, and fail
-        // the whole shard over together when the detector declares death.
+        // Transport failure: the shard shared one network exchange, so it
+        // backs off once, then retries the same node or fails over to the
+        // next replica together once the detector declares it dead. Reads
+        // falling back this way land on the sync secondary, which holds
+        // every acked mutation (the secondary leg completes before the
+        // primary acks), so failover lookups stay consistent while the
+        // owner is down or its partitions rebuild.
         counters_.retries->Increment();
         hard_seen = true;
         Backoff(detector_.BackoffFor(address));
@@ -408,24 +289,24 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
           transport_->Invalidate(address);
           counters_.failovers->Increment();
         }
-        for (std::size_t i : indices) {
-          last_transport[i] = replies.status().code();
-          if (dead) ++replica_try[i];
-          still_pending.push_back(i);
+        for (const auto& placement : shard) {
+          KeyState& key = state[placement.second];
+          key.last_transport = replies.status().code();
+          if (dead) ++key.replica_try;
         }
         continue;
       }
       detector_.RecordSuccess(address);
 
       bool membership_applied = false;
-      for (std::size_t j = 0; j < indices.size(); ++j) {
-        const std::size_t i = indices[j];
+      for (std::size_t j = 0; j < shard.size(); ++j) {
+        const std::size_t i = shard[j].second;
         Response& sub = (*replies)[j];
         const StatusCode code = static_cast<StatusCode>(sub.status);
         if (code == StatusCode::kRedirect) {
-          // Partition moved mid-batch: apply the piggybacked delta once
-          // (the server attaches it to the first redirected sub-op) and
-          // re-shard the key next round.
+          // Partition moved: apply the piggybacked delta once (the server
+          // attaches it to the first redirected sub-op) and re-shard the
+          // key next round.
           counters_.redirects_followed->Increment();
           hard_seen = true;
           if (!membership_applied) {
@@ -433,41 +314,42 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
             bool applied = !sub.membership.empty() &&
                            ApplyMembership(sub.membership).ok();
             if (!applied) {
-              // One coalesced snapshot pull per epoch for the whole
-              // redirect storm (see MaybePullMembership).
+              // Delta missing or did not apply (e.g. we were too far
+              // behind): one coalesced snapshot pull per epoch for the
+              // whole redirect storm (see MaybePullMembership).
               MaybePullMembership(address, sub.epoch);
             }
           }
-          replica_try[i] = 0;
-          last_transport[i] = StatusCode::kTimeout;
-          still_pending.push_back(i);
+          state[i].replica_try = 0;
+          state[i].last_transport = StatusCode::kTimeout;
           continue;
         }
         if (code == StatusCode::kMigrating) {
           counters_.retries->Increment();
           migrating_seen = true;
-          last_transport[i] = StatusCode::kTimeout;
-          still_pending.push_back(i);
+          state[i].last_transport = StatusCode::kTimeout;
           continue;
         }
         if (code == StatusCode::kUnavailable && sub.retry_after_us > 0 &&
             shed_rounds + 1 < options_.max_attempts) {
-          // Shed under admission control: the sub-op retries next round
-          // after the hinted pause (the round waits for the largest hint
-          // seen). On the final shed round the shed response stands.
+          // Shed under admission control: the key retries next round after
+          // the hinted pause (the round waits for the largest hint seen).
+          // On the final shed round the shed response stands.
           counters_.retries->Increment();
           counters_.shed_backoffs->Increment();
           shed_hint = std::max(
               shed_hint, static_cast<Nanos>(sub.retry_after_us) * 1000);
-          last_transport[i] = StatusCode::kTimeout;
-          still_pending.push_back(i);
+          state[i].last_transport = StatusCode::kTimeout;
           continue;
         }
-        results[i] = std::move(sub);
+        finish(i, std::move(sub));
       }
     }
     if (hard_seen) ++hard_rounds;
     if (migrating_seen) {
+      // Jittered growth desynchronizes the herd stuck behind one
+      // migration; the fixed base is kept when sleeps are disabled so
+      // simulated-time tests stay deterministic (no RNG draw).
       ++migrating_rounds;
       migrating_wait =
           options_.sleep_on_backoff
@@ -478,6 +360,9 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
       Backoff(migrating_wait);
     }
     if (shed_hint > 0) {
+      // The server told us how long to stay away; the same decorrelated
+      // jitter spreads a shed flash crowd out instead of letting it
+      // re-arrive as a synchronized wave.
       ++shed_rounds;
       shed_wait =
           options_.sleep_on_backoff
@@ -488,18 +373,14 @@ std::vector<Result<Response>> ZhtClient::ExecuteBatch(
               : shed_hint;
       Backoff(shed_wait);
     }
-    pending = std::move(still_pending);
   }
 
-  for (std::size_t i : pending) {
-    results[i] = last_transport[i] == StatusCode::kNetwork
-                     ? Result<Response>(
-                           Status(StatusCode::kUnavailable, "node unreachable"))
-                     : Result<Response>(Status(StatusCode::kTimeout,
-                                               "attempts exhausted"));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (state[i].done) continue;
+    results[i] = state[i].last_transport == StatusCode::kNetwork
+                     ? Status(StatusCode::kUnavailable, "node unreachable")
+                     : Status(StatusCode::kTimeout, "attempts exhausted");
   }
-  batch_hist_->Record(watch.Elapsed());
-  return results;
 }
 
 Status ZhtClient::Insert(std::string_view key, std::string_view value) {
@@ -509,14 +390,14 @@ Status ZhtClient::Insert(std::string_view key, std::string_view value) {
 }
 
 Result<std::string> ZhtClient::Lookup(std::string_view key) {
-  auto result = Execute(OpCode::kLookup, key, "");
+  auto result = Execute(OpCode::kLookup, key, {});
   if (!result.ok()) return result.status();
   if (!result->ok()) return result->status_as_object();
   return std::move(result->value);
 }
 
 Status ZhtClient::Remove(std::string_view key) {
-  auto result = Execute(OpCode::kRemove, key, "");
+  auto result = Execute(OpCode::kRemove, key, {});
   if (!result.ok()) return result.status();
   return result->status_as_object();
 }
@@ -539,23 +420,27 @@ std::vector<Status> FlattenStatuses(std::vector<Result<Response>> responses) {
   return out;
 }
 
+std::vector<std::string_view> Views(std::span<const std::string> strings) {
+  return {strings.begin(), strings.end()};
+}
+
 }  // namespace
 
 std::vector<Status> ZhtClient::MultiInsert(std::span<const KeyValue> pairs) {
-  std::vector<std::string> keys;
-  std::vector<std::string> values;
+  std::vector<std::string_view> keys;
+  std::vector<std::string_view> values;
   keys.reserve(pairs.size());
   values.reserve(pairs.size());
   for (const KeyValue& pair : pairs) {
     keys.push_back(pair.key);
     values.push_back(pair.value);
   }
-  return FlattenStatuses(ExecuteBatch(OpCode::kInsert, keys, values));
+  return FlattenStatuses(ExecuteMulti(OpCode::kInsert, keys, values));
 }
 
 std::vector<Result<std::string>> ZhtClient::MultiLookup(
     std::span<const std::string> keys) {
-  auto responses = ExecuteBatch(OpCode::kLookup, keys, {});
+  auto responses = ExecuteMulti(OpCode::kLookup, Views(keys), {});
   std::vector<Result<std::string>> out;
   out.reserve(responses.size());
   for (auto& response : responses) {
@@ -571,7 +456,7 @@ std::vector<Result<std::string>> ZhtClient::MultiLookup(
 }
 
 std::vector<Status> ZhtClient::MultiRemove(std::span<const std::string> keys) {
-  return FlattenStatuses(ExecuteBatch(OpCode::kRemove, keys, {}));
+  return FlattenStatuses(ExecuteMulti(OpCode::kRemove, Views(keys), {}));
 }
 
 Status ZhtClient::Ping(InstanceId instance) {

@@ -11,6 +11,11 @@
 // timeouts, fails over along the replica chain, and reports dead nodes to
 // a manager when one is configured (§III.C "Node departures").
 //
+// Every data call runs through one retry engine (ExecuteBatch): a
+// single-key call is a one-key batch, and the transport sends a one-request
+// batch as one plain request, so the wire carries the paper's message.
+// The Multi* calls only amortise the wire cost of the same four calls.
+//
 // ## Status contract
 //
 // Every public call resolves to exactly one of these codes:
@@ -36,6 +41,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -145,16 +151,23 @@ class ZhtClient {
   }
 
  private:
-  // Wraps ExecuteInternal with the end-to-end latency histogram.
+  // A single-key call: a one-key batch through ExecuteBatch, recorded in
+  // client.op.<name>.latency_ns.
   Result<Response> Execute(OpCode op, std::string_view key,
                            std::string_view value);
-  Result<Response> ExecuteInternal(OpCode op, std::string_view key,
-                                   std::string_view value);
-  // Shard-by-owner batch engine behind the Multi* calls: returns one final
-  // Response per input, in input order.
-  std::vector<Result<Response>> ExecuteBatch(
-      OpCode op, std::span<const std::string> keys,
-      std::span<const std::string> values);
+  // A Multi* call through ExecuteBatch, recorded in
+  // client.op.batch.latency_ns and client.batch.size.
+  std::vector<Result<Response>> ExecuteMulti(
+      OpCode op, std::span<const std::string_view> keys,
+      std::span<const std::string_view> values);
+  // The one retry engine: shards the keys by owner, sends one CallBatch per
+  // owner and round, follows redirects, retries migrating and shed keys,
+  // and fails keys over along the replica chain. Writes each key's final
+  // outcome to the same position of `results`. `values` is empty or
+  // parallel to `keys`.
+  void ExecuteBatch(OpCode op, std::span<const std::string_view> keys,
+                    std::span<const std::string_view> values,
+                    std::span<Result<Response>> results);
   void ReportFailure(InstanceId instance);
   void Backoff(Nanos duration);
   // Applies a membership update; evicts failure-detector state for

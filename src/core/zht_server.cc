@@ -659,32 +659,68 @@ Status ZhtServer::ApplyToStore(Shard& shard, OpCode op, PartitionId partition,
   }
 }
 
-ZhtServer::ReplicaPlan ZhtServer::MakeReplicaPlan(
-    const Shard& shard, const std::vector<InstanceId>& chain) const {
+std::optional<ZhtServer::ReplicaPlan> ZhtServer::MakeReplicaPlan(
+    const Shard& shard, const Request& request, const DataRoute& route) const {
+  if (options_.cluster.num_replicas == 0 || request.server_origin ||
+      route.chain.size() < 2) {
+    return std::nullopt;
+  }
+  // A failover write the client placed on a secondary (replica_index > 0,
+  // past members its detector marked dead) must still fan out to every
+  // other chain member — acking a single copy would silently drop the
+  // replication level to one, and the next failure would lose an acked
+  // write. The chain is rotated so this instance leads and the usual leg
+  // machinery applies; the rotation (not a suffix) matters because a
+  // skipped member may in fact be alive — a spurious detector mark — and
+  // serving reads, which is also why every leg of such a plan is
+  // synchronous.
+  ReplicaPlan plan;
+  plan.partition = route.partition;
+  if (request.replica_index == 0) {
+    plan.chain = route.chain;
+  } else {
+    auto self_it =
+        std::find(route.chain.begin(), route.chain.end(), options_.self);
+    if (self_it == route.chain.end()) return std::nullopt;
+    plan.chain.push_back(options_.self);
+    plan.chain.insert(plan.chain.end(), std::next(self_it), route.chain.end());
+    plan.chain.insert(plan.chain.end(), route.chain.begin(), self_it);
+    plan.all_sync = true;
+  }
   // Resolve every chain address while the shard's table is at hand, so
   // finishers and the async worker never touch a membership table.
-  ReplicaPlan plan;
-  plan.chain = chain;
-  plan.addresses.reserve(chain.size());
-  for (InstanceId id : chain) {
+  plan.addresses.reserve(plan.chain.size());
+  for (InstanceId id : plan.chain) {
     plan.addresses.push_back(id < shard.table.instance_count()
                                  ? shard.table.Instance(id).address
                                  : NodeAddress{});
   }
+  // Members with an in-flight rebuild stream take their legs through the
+  // async queue, behind the stream.
+  auto rebuild = shard.rebuild_out.find(route.partition);
+  if (rebuild != shard.rebuild_out.end() && !rebuild->second.targets.empty()) {
+    plan.via_async.assign(plan.chain.size(), 0);
+    for (std::size_t i = 0; i < plan.chain.size(); ++i) {
+      for (const RebuildTarget& target : rebuild->second.targets) {
+        if (target.id == plan.chain[i]) plan.via_async[i] = 1;
+      }
+    }
+  }
   return plan;
 }
 
-void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
-                           ResponseCallback done, Nanos start) {
-  DataRoute route = RouteDataOp(shard, request, nullptr);
-  const OpCode op = request.op;
+ZhtServer::AppliedOp ZhtServer::ApplyDataOp(Shard& shard,
+                                            const Request& request,
+                                            std::atomic<bool>* delta_gate) {
+  AppliedOp out;
+  DataRoute route = RouteDataOp(shard, request, delta_gate);
+  out.partition = route.partition;
   if (route.redirect) {
-    done(std::move(*route.redirect));
-    RecordDataOpLatency(op, start);
-    return;
+    out.resp = std::move(*route.redirect);
+    return out;
   }
-
-  Response resp;
+  const OpCode op = request.op;
+  Response& resp = out.resp;
   resp.seq = request.seq;
   resp.epoch = route.epoch;
   if (shard.migrating.count(route.partition) ||
@@ -695,92 +731,73 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
     // paper's request queueing at the sender. Rejecting reads too keeps a
     // rebuilding replica from serving half-streamed state.
     resp.status = Status(StatusCode::kMigrating).raw();
-    done(std::move(resp));
-    RecordDataOpLatency(op, start);
-    return;
+    return out;
   }
   if (op == OpCode::kAppend && IsDuplicateAppend(shard, request)) {
     // Retransmission of an append we already applied: acknowledge success
-    // without re-applying.
+    // without re-applying, once the store is durable — its token covers
+    // the original, which may still be waiting for its group commit.
     counters_.duplicate_appends_dropped->Increment();
-    resp.status = Status::Ok().raw();
-    done(std::move(resp));
-    RecordDataOpLatency(op, start);
-    return;
+    out.durable_wait = true;
+    return out;
   }
-
-  std::string lookup_value;
+  if (delta_gate && op == OpCode::kLookup && !request.server_origin &&
+      CacheLookup(shard, request.key, &resp.value)) {
+    // A BATCH sub-op probes the cache here (the scatter loop cannot know
+    // each sub-op's shard cheaply; a single-key lookup probed at ingress),
+    // and a hit still skips the store lookup.
+    counters_.ops->Increment();
+    return out;
+  }
   Status status = ApplyToStore(shard, op, route.partition, request.key,
-                               request.value, &lookup_value);
+                               request.value, &resp.value);
   counters_.ops->Increment();
+  resp.status = status.raw();
   if (op == OpCode::kLookup) {
     // Fill in-shard, where this partition's store is ordered: the control
     // flow above guarantees it is owned and not mid-migration/rebuild.
-    if (status.ok()) {
-      CacheFill(shard, route.partition, request.key, lookup_value);
-    }
-  } else {
-    // Synchronous invalidation before the ack can leave this drain: a
-    // later probe can never observe the pre-mutation value (DESIGN.md §13).
-    CacheInvalidate(shard, request.key);
+    if (status.ok()) CacheFill(shard, route.partition, request.key, resp.value);
+    return out;
   }
-  // Replication chain for this mutation. A failover write the client
-  // placed on a secondary (replica_index > 0, past members its detector
-  // marked dead) must still fan out to every other chain member — acking
-  // a single copy would silently drop the replication level to one, and
-  // the next failure would lose an acked write. The chain is rotated so
-  // this instance leads and the usual leg machinery applies; the rotation
-  // (not a suffix) matters because a skipped member may in fact be alive
-  // — a spurious detector mark — and serving reads.
-  std::vector<InstanceId> replication_chain;
-  bool failover_accept = false;
-  if (status.ok() && op != OpCode::kLookup &&
-      options_.cluster.num_replicas > 0 && !request.server_origin &&
-      route.chain.size() > 1) {
-    if (request.replica_index == 0) {
-      replication_chain = route.chain;
-    } else {
-      auto self_it =
-          std::find(route.chain.begin(), route.chain.end(), options_.self);
-      if (self_it != route.chain.end()) {
-        replication_chain.push_back(options_.self);
-        replication_chain.insert(replication_chain.end(),
-                                 std::next(self_it), route.chain.end());
-        replication_chain.insert(replication_chain.end(), route.chain.begin(),
-                                 self_it);
-        failover_accept = true;
-      }
-    }
-  }
-  const bool replicate = replication_chain.size() > 1;
-  resp.status = status.raw();
-  resp.value = std::move(lookup_value);
+  // Synchronous invalidation before the ack can leave this drain: a later
+  // probe can never observe the pre-mutation value (DESIGN.md §13).
+  CacheInvalidate(shard, request.key);
+  if (!status.ok()) return out;
+  out.durable_wait = true;
+  out.plan = MakeReplicaPlan(shard, request, route);
+  return out;
+}
 
-  std::shared_ptr<KVStore> store;
-  std::uint64_t token = 0;
-  if (resp.ok() && op != OpCode::kLookup) {
-    auto it = shard.stores.find(route.partition);
-    if (it != shard.stores.end() && it->second) {
-      // The token covers exactly the mutations applied so far, including
-      // ours — captured in-shard, where this store is ordered.
-      store = it->second;
-      token = store->last_commit_token();
-    }
-  }
-  if (token == 0 && !replicate) {
+ZhtServer::CommitPoint ZhtServer::CommitPointOf(const Shard& shard,
+                                                PartitionId partition) {
+  // The token covers exactly the mutations applied so far — captured
+  // in-shard, where this store is ordered.
+  auto it = shard.stores.find(partition);
+  if (it == shard.stores.end() || !it->second) return {};
+  return {it->second.get(), it->second->last_commit_token()};
+}
+
+void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
+                           ResponseCallback done, Nanos start) {
+  const OpCode op = request.op;
+  AppliedOp applied = ApplyDataOp(shard, request, nullptr);
+  const CommitPoint commit = applied.durable_wait
+                                 ? CommitPointOf(shard, applied.partition)
+                                 : CommitPoint{};
+  if (commit.token == 0 && !applied.plan) {
     // Hot path: routed, applied, and acked on the owning shard — zero
     // mutexes end to end.
-    done(std::move(resp));
+    done(std::move(applied.resp));
     RecordDataOpLatency(op, start);
     return;
   }
 
-  if (!replicate) {
+  if (!applied.plan) {
     // Ack parks on the log's flusher; no thread blocks for the group
     // commit. Concurrent writers join the same commit window.
-    store->NotifyDurable(
-        token, [this, resp = std::move(resp), op, start,
-                done = std::move(done)](Status durable) mutable {
+    commit.store->NotifyDurable(
+        commit.token, [this, resp = std::move(applied.resp), op, start,
+                       done = std::move(done)](Status durable) mutable {
           if (!durable.ok()) resp.status = durable.raw();
           done(std::move(resp));
           RecordDataOpLatency(op, start);
@@ -788,10 +805,6 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
     return;
   }
 
-  ReplicaPlan plan = MakeReplicaPlan(shard, replication_chain);
-  plan.all_sync = failover_accept;
-  ApplyRebuildDiversions(shard, route.partition, &plan);
-  const PartitionId partition = route.partition;
   // A synchronous hop to the secondary keeps primary+secondary strongly
   // consistent; it is peer I/O, so it runs on a finisher, never inside a
   // shard drain or a flusher callback. On a durable store the leg starts
@@ -799,18 +812,18 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   // local sync still fails the op, even if its leg has landed: the op was
   // never acked, so it stays ambiguous to the client.
   auto join = std::make_shared<AckJoin>();
-  join->resp = std::move(resp);
+  join->resp = std::move(applied.resp);
   join->done = std::move(done);
   join->op = op;
   join->start = start;
-  join->pending.store(token != 0 ? 2 : 1, kRelaxed);
+  join->pending.store(commit.token != 0 ? 2 : 1, kRelaxed);
   EnqueueFinisher([this, join, request = std::move(request),
-                   plan = std::move(plan), partition] {
-    ReplicateSync(request, partition, plan);
+                   plan = std::move(*applied.plan)] {
+    SendReplicaLegs({&request, 1}, {&plan, 1});
     FinishAckJoin(*join);
   });
-  if (token != 0) {
-    store->NotifyDurable(token, [this, join](Status durable) {
+  if (commit.token != 0) {
+    commit.store->NotifyDurable(commit.token, [this, join](Status durable) {
       if (!durable.ok()) join->resp.status = durable.raw();
       FinishAckJoin(*join);
     });
@@ -920,85 +933,15 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
 void ZhtServer::ExecBatchGroup(Shard& shard,
                                const std::shared_ptr<BatchGather>& gather,
                                std::vector<std::size_t> indices) {
-  // Sub-ops whose ack waits for their store's durability (applied
-  // mutations).
+  // Sub-ops whose ack waits for their store's durability.
   std::vector<std::size_t> mutations;
   for (std::size_t i : indices) {
-    const Request& op = gather->ops[i];
-    DataRoute route = RouteDataOp(shard, op, &gather->delta_sent);
-    gather->partitions[i] = route.partition;
-    if (route.redirect) {
-      gather->responses[i] = std::move(*route.redirect);
-      continue;
-    }
-    Response sub;
-    sub.seq = op.seq;
-    sub.epoch = route.epoch;
-    if (shard.migrating.count(route.partition) ||
-        shard.rebuilding.count(route.partition)) {
-      sub.status = Status(StatusCode::kMigrating).raw();
-      gather->responses[i] = std::move(sub);
-      continue;
-    }
-    if (op.op == OpCode::kAppend && IsDuplicateAppend(shard, op)) {
-      counters_.duplicate_appends_dropped->Increment();
-      sub.status = Status::Ok().raw();
-      gather->responses[i] = std::move(sub);
-      mutations.push_back(i);  // acks once its store is durable
-      continue;
-    }
-    if (op.op == OpCode::kLookup && !op.server_origin &&
-        CacheLookup(shard, op.key, &sub.value)) {
-      // Batch sub-ops reach the shard drain before probing (the scatter
-      // loop cannot know each sub-op's shard cheaply), but a hit still
-      // skips the store lookup and the replica-chain resolution.
-      counters_.ops->Increment();
-      sub.status = Status::Ok().raw();
-      gather->responses[i] = std::move(sub);
-      continue;
-    }
-    std::string lookup_value;
-    Status status = ApplyToStore(shard, op.op, route.partition, op.key,
-                                 op.value, &lookup_value);
-    counters_.ops->Increment();
-    if (op.op == OpCode::kLookup) {
-      if (status.ok()) CacheFill(shard, route.partition, op.key, lookup_value);
-    } else {
-      CacheInvalidate(shard, op.key);
-      if (status.ok()) mutations.push_back(i);
-    }
-    if (status.ok() && op.op != OpCode::kLookup &&
-        options_.cluster.num_replicas > 0 && !op.server_origin &&
-        route.chain.size() > 1) {
-      // Same rotation rule as ExecDataOp: a failover write accepted at a
-      // secondary fans out to every other chain member, never acks one
-      // copy, and its legs all go synchronously.
-      std::vector<InstanceId> replication_chain;
-      bool failover_accept = false;
-      if (op.replica_index == 0) {
-        replication_chain = route.chain;
-      } else {
-        auto self_it =
-            std::find(route.chain.begin(), route.chain.end(), options_.self);
-        if (self_it != route.chain.end()) {
-          replication_chain.push_back(options_.self);
-          replication_chain.insert(replication_chain.end(),
-                                   std::next(self_it), route.chain.end());
-          replication_chain.insert(replication_chain.end(),
-                                   route.chain.begin(), self_it);
-          failover_accept = true;
-        }
-      }
-      if (replication_chain.size() > 1) {
-        ReplicaPlan& plan = gather->plans[i].emplace(
-            MakeReplicaPlan(shard, replication_chain));
-        plan.all_sync = failover_accept;
-        ApplyRebuildDiversions(shard, route.partition, &plan);
-      }
-    }
-    sub.status = status.raw();
-    sub.value = std::move(lookup_value);
-    gather->responses[i] = std::move(sub);
+    AppliedOp applied =
+        ApplyDataOp(shard, gather->ops[i], &gather->delta_sent);
+    gather->partitions[i] = applied.partition;
+    gather->responses[i] = std::move(applied.resp);
+    gather->plans[i] = std::move(applied.plan);
+    if (applied.durable_wait) mutations.push_back(i);
   }
   BatchGroupApplied(gather);
 
@@ -1006,20 +949,13 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
   // sub-op applied (monotone, so the latest covers them all), and one
   // NotifyDurable per store parks on its log's flusher. The last callback
   // fixes any failed partitions' sub-ops and reports the group done.
-  struct TouchedStore {
-    std::shared_ptr<KVStore> store;
-    std::uint64_t token = 0;
-    PartitionId partition = 0;
-  };
-  std::vector<TouchedStore> touched;
+  std::vector<std::pair<PartitionId, CommitPoint>> touched;
   std::unordered_set<PartitionId> seen;
   for (std::size_t i : mutations) {
     const PartitionId partition = gather->partitions[i];
     if (!seen.insert(partition).second) continue;
-    auto it = shard.stores.find(partition);
-    if (it == shard.stores.end() || !it->second) continue;
-    const std::uint64_t token = it->second->last_commit_token();
-    if (token != 0) touched.push_back({it->second, token, partition});
+    const CommitPoint commit = CommitPointOf(shard, partition);
+    if (commit.token != 0) touched.emplace_back(partition, commit);
   }
   if (touched.empty()) {
     CompleteBatchGroup(gather);
@@ -1036,9 +972,9 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
   group->results.resize(touched.size());
   group->pending.store(touched.size(), kRelaxed);
   for (std::size_t j = 0; j < touched.size(); ++j) {
-    const PartitionId partition = touched[j].partition;
-    touched[j].store->NotifyDurable(
-        touched[j].token, [this, gather, group, j, partition](Status status) {
+    const auto& [partition, commit] = touched[j];
+    commit.store->NotifyDurable(
+        commit.token, [this, gather, group, j, partition](Status status) {
           group->results[j] = {partition, status};
           if (group->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) {
             return;
@@ -1067,20 +1003,17 @@ void ZhtServer::BatchGroupApplied(const std::shared_ptr<BatchGather>& gather) {
   // hold one gather count; the caller's group still holds its own, so the
   // gather cannot finish before the increment.
   std::vector<Request> ops;
-  std::vector<PartitionId> partitions;
   std::vector<ReplicaPlan> plans;
   for (std::size_t i = 0; i < gather->ops.size(); ++i) {
     if (!gather->plans[i]) continue;
     ops.push_back(std::move(gather->ops[i]));
-    partitions.push_back(gather->partitions[i]);
     plans.push_back(std::move(*gather->plans[i]));
   }
   if (ops.empty()) return;
   gather->remaining.fetch_add(1, kRelaxed);
   EnqueueFinisher([this, gather, ops = std::move(ops),
-                   partitions = std::move(partitions),
-                   plans = std::move(plans)]() mutable {
-    ReplicateBatchResolved(std::move(ops), partitions, plans);
+                   plans = std::move(plans)] {
+    SendReplicaLegs(ops, plans);
     CompleteBatchGroup(gather);
   });
 }
@@ -1498,7 +1431,7 @@ void ZhtServer::BeginRebuildStreams(Shard& shard, PartitionId partition,
   if (it == shard.rebuild_out.end()) return;
   RebuildOut& out = it->second;
   // Keep only the stale members; while a member stays listed here, sync
-  // replication legs to it divert behind the stream (ApplyRebuildDiversions).
+  // replication legs to it divert behind the stream (MakeReplicaPlan).
   out.targets.erase(
       std::remove_if(out.targets.begin(), out.targets.end(),
                      [&stale](const RebuildTarget& t) {
@@ -1638,19 +1571,6 @@ void ZhtServer::FinishRebuildLeg(Shard& shard, PartitionId partition,
   }
 }
 
-void ZhtServer::ApplyRebuildDiversions(const Shard& shard,
-                                       PartitionId partition,
-                                       ReplicaPlan* plan) const {
-  auto it = shard.rebuild_out.find(partition);
-  if (it == shard.rebuild_out.end() || it->second.targets.empty()) return;
-  plan->via_async.assign(plan->chain.size(), 0);
-  for (std::size_t i = 0; i < plan->chain.size(); ++i) {
-    for (const RebuildTarget& target : it->second.targets) {
-      if (target.id == plan->chain[i]) plan->via_async[i] = 1;
-    }
-  }
-}
-
 Status ZhtServer::RepairPartition(PartitionId partition) {
   return Await<Status>(
       [&](auto done) { StartRebuild(partition, std::move(done)); });
@@ -1707,15 +1627,8 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
     }
   }
 
-  std::shared_ptr<KVStore> pinned;
-  std::uint64_t token = 0;
-  if (put.ok()) {
-    auto it = shard.stores.find(partition);
-    if (it != shard.stores.end() && it->second) {
-      pinned = it->second;
-      token = pinned->last_commit_token();
-    }
-  }
+  const CommitPoint commit =
+      put.ok() ? CommitPointOf(shard, partition) : CommitPoint{};
   auto fin = [this, seq = request.seq, forward = std::move(request),
               children = std::move(children), put,
               done = std::move(done)](Status durable) mutable {
@@ -1729,8 +1642,8 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
     }
     done(std::move(resp));
   };
-  if (token != 0) {
-    pinned->NotifyDurable(token, std::move(fin));
+  if (commit.token != 0) {
+    commit.store->NotifyDurable(commit.token, std::move(fin));
   } else {
     fin(Status::Ok());
   }
@@ -1740,105 +1653,56 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
 // Replication (finisher/async-worker threads; addresses pre-resolved)
 // ---------------------------------------------------------------------------
 
-void ZhtServer::ReplicateSync(const Request& original, PartitionId partition,
-                              const ReplicaPlan& plan) {
-  Request forward = original;
-  forward.server_origin = true;
-  forward.partition = partition;
-
-  // Fan-out of this mutation: every chain member beyond the primary.
-  replication_fanout_hist_->Record(
-      static_cast<std::int64_t>(plan.chain.size()) - 1);
-
-  // Leg i is synchronous when it is the secondary or the plan demands
-  // every leg synchronous (failover accepts). A member mid-rebuild diverts
-  // to the async queue regardless, so the leg lands after the stream's End
-  // (the queue is FIFO per destination — the catch-up replay ordering).
-  const std::size_t sync_end = plan.sync_end();
-  for (std::size_t i = 1; i < plan.chain.size(); ++i) {
-    Request leg = forward;
-    leg.replica_index = static_cast<std::uint8_t>(i);
-    const bool diverted = plan.via_async.size() > i && plan.via_async[i];
-    if (i < sync_end && !diverted) {
-      counters_.replications_sync->Increment();
-      auto result = peer_transport_->Call(plan.addresses[i], leg,
-                                          options_.cluster.peer_timeout);
-      if (!result.ok()) {
-        counters_.replications_sync_failed->Increment();
-        ZHT_WARN << "sync replication to " << plan.addresses[i].ToString()
-                 << " failed: " << result.status().ToString();
-      }
-    } else {
-      EnqueueAsyncReplication(std::move(leg), plan.addresses[i]);
-      counters_.replications_async->Increment();
-    }
-  }
-}
-
-void ZhtServer::ReplicateBatchResolved(
-    std::vector<Request> ops, const std::vector<PartitionId>& partitions,
-    const std::vector<ReplicaPlan>& plans) {
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    ops[i].server_origin = true;
-    ops[i].partition = partitions[i];
-  }
-  for (const ReplicaPlan& plan : plans) {
-    replication_fanout_hist_->Record(
-        static_cast<std::int64_t>(plan.chain.size()) - 1);
-  }
-
-  // Synchronous legs: the secondary of each plan (or every member of an
-  // all_sync plan), grouped by target and pushed as one pipelined BATCH
-  // call before acknowledging the client. A member mid-rebuild diverts
-  // behind its stream instead.
-  std::unordered_map<InstanceId, std::pair<NodeAddress, std::vector<Request>>>
-      groups;
+void ZhtServer::SendReplicaLegs(std::span<const Request> ops,
+                                std::span<const ReplicaPlan> plans) {
+  // One leg per (op, chain member past this instance), grouped by target.
+  // Leg r is synchronous when it is the secondary or the plan demands every
+  // leg synchronous (failover accepts); the rest, and any leg to a member
+  // mid-rebuild, go through the async queue — FIFO per destination, so a
+  // diverted leg lands after the stream's End (the catch-up replay).
+  using Groups =
+      std::unordered_map<InstanceId,
+                         std::pair<NodeAddress, std::vector<Request>>>;
+  Groups sync_groups;
+  Groups async_groups;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const ReplicaPlan& plan = plans[i];
-    for (std::size_t r = 1; r < plan.sync_end(); ++r) {
-      Request forward = ops[i];
-      forward.replica_index = static_cast<std::uint8_t>(r);
-      if (plan.via_async.size() > r && plan.via_async[r]) {
-        // Member mid-rebuild: divert the leg behind the stream.
-        counters_.replications_async->Increment();
-        EnqueueAsyncReplication(std::move(forward), plan.addresses[r]);
-        continue;
-      }
-      auto& group = groups[plan.chain[r]];
+    replication_fanout_hist_->Record(
+        static_cast<std::int64_t>(plan.chain.size()) - 1);
+    for (std::size_t r = 1; r < plan.chain.size(); ++r) {
+      const bool diverted = plan.via_async.size() > r && plan.via_async[r];
+      auto& group = (r < plan.sync_end() && !diverted
+                         ? sync_groups
+                         : async_groups)[plan.chain[r]];
       group.first = plan.addresses[r];
-      group.second.push_back(std::move(forward));
+      Request& leg = group.second.emplace_back(ops[i]);
+      leg.server_origin = true;
+      leg.partition = plan.partition;
+      leg.replica_index = static_cast<std::uint8_t>(r);
     }
   }
-  for (auto& [target_id, group] : groups) {
+  // The sync legs of each target go out as one CallBatch — one plain Call
+  // for a single leg — before the op (or the carrier) acks.
+  for (auto& [target_id, group] : sync_groups) {
     counters_.replications_sync->Increment(group.second.size());
     auto result = peer_transport_->CallBatch(group.first, group.second,
                                              options_.cluster.peer_timeout);
     if (!result.ok()) {
       counters_.replications_sync_failed->Increment(group.second.size());
-      ZHT_WARN << "sync batch replication to " << group.first.ToString()
+      ZHT_WARN << "sync replication to " << group.first.ToString()
                << " failed: " << result.status().ToString();
     }
   }
-
-  // Asynchronous legs: one queued BATCH carrier per (replica slot, target)
-  // group, so further replicas also receive the batch as a unit.
-  std::unordered_map<InstanceId, std::pair<NodeAddress, std::vector<Request>>>
-      async_groups;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    for (std::size_t r = plans[i].sync_end(); r < plans[i].chain.size();
-         ++r) {
-      Request forward = ops[i];
-      forward.replica_index = static_cast<std::uint8_t>(r);
-      auto& group = async_groups[plans[i].chain[r]];
-      group.first = plans[i].addresses[r];
-      group.second.push_back(std::move(forward));
-    }
-  }
+  // One queued message per async target: the leg itself, or a BATCH
+  // carrier, so further replicas also receive a batch as a unit.
   for (auto& [target_id, group] : async_groups) {
-    Request packed = PackBatchRequest(group.second, group.second.front().seq,
-                                      /*server_origin=*/true);
     counters_.replications_async->Increment(group.second.size());
-    EnqueueAsyncReplication(std::move(packed), group.first);
+    EnqueueAsyncReplication(
+        group.second.size() == 1
+            ? std::move(group.second.front())
+            : PackBatchRequest(group.second, group.second.front().seq,
+                               /*server_origin=*/true),
+        group.first);
   }
 }
 

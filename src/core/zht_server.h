@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -380,6 +381,7 @@ class ZhtServer {
   // Replica chain with its addresses resolved in-shard, so replication
   // finishers never touch a membership table.
   struct ReplicaPlan {
+    PartitionId partition = 0;
     std::vector<InstanceId> chain;
     std::vector<NodeAddress> addresses;  // parallel to chain
     // Parallel to chain when non-empty: members whose sync leg must go
@@ -398,6 +400,25 @@ class ZhtServer {
     std::size_t sync_end() const {
       return all_sync ? chain.size() : std::min<std::size_t>(2, chain.size());
     }
+  };
+
+  // What ApplyDataOp did with one data op: its response, the partition it
+  // routed to, whether the ack waits for that store's durability (an
+  // applied mutation, or a retransmitted append whose original may still
+  // be in its group commit), and the replication legs still to send.
+  struct AppliedOp {
+    Response resp;
+    PartitionId partition = 0;
+    bool durable_wait = false;
+    std::optional<ReplicaPlan> plan;
+  };
+
+  // A store and its commit token, which covers every mutation applied to
+  // it so far (token 0: nothing to wait for). Taken in-shard; `store` is
+  // valid until that drain returns.
+  struct CommitPoint {
+    KVStore* store = nullptr;
+    std::uint64_t token = 0;
   };
 
   // Scatter/gather state for a BATCH spanning shard owners. Each shard
@@ -465,8 +486,17 @@ class ZhtServer {
   std::size_t DrainAll(Shard& shard);
 
   // --- request execution (inside shard drains unless noted) ---
+  // A single-key data op: ApplyDataOp, then the ack — inline, after the
+  // group commit, or after both the commit and the replica legs (AckJoin).
   void ExecDataOp(Shard& shard, Request&& request, ResponseCallback done,
                   Nanos start);
+  // The one in-shard step of every data op, single-key or BATCH sub-op:
+  // routing and the redirect, the migrating/rebuilding guard, append dedup,
+  // the store call, cache upkeep and the replica plan. `delta_gate` is the
+  // BATCH's one-delta claim; it is null for a single-key op, which probed
+  // the hot-key cache at ingress, while a BATCH lookup probes it here.
+  AppliedOp ApplyDataOp(Shard& shard, const Request& request,
+                        std::atomic<bool>* delta_gate);
   DataRoute RouteDataOp(Shard& shard, const Request& request,
                         std::atomic<bool>* delta_gate);
   Response RedirectTo(const Shard& shard, InstanceId owner, std::uint64_t seq,
@@ -476,6 +506,7 @@ class ZhtServer {
                       std::string_view key, std::string_view value,
                       std::string* out);
   KVStore* StoreIn(Shard& shard, PartitionId partition);  // creates on demand
+  static CommitPoint CommitPointOf(const Shard& shard, PartitionId partition);
   // Drops destination-side transfer marks (and landing stores) for
   // partitions this instance now owns: the stream that fed them is moot
   // (its source lost ownership, or died), and the canonical store — never
@@ -485,8 +516,13 @@ class ZhtServer {
   // Lifts the source-side migration lock for handed-off partitions once a
   // membership update names their new owner (subsequent requests redirect).
   void ReleaseCompletedHandoffs(Shard& shard);
-  ReplicaPlan MakeReplicaPlan(const Shard& shard,
-                              const std::vector<InstanceId>& chain) const;
+  // The legs an applied client mutation owes its replica chain (none
+  // without replicas): the chain rotated to lead with this instance for a
+  // failover write, its addresses, and the members mid-rebuild whose legs
+  // divert behind the stream.
+  std::optional<ReplicaPlan> MakeReplicaPlan(const Shard& shard,
+                                             const Request& request,
+                                             const DataRoute& route) const;
 
   void StartBatch(Request&& request, ResponseCallback done);  // ingress
   void ExecBatchGroup(Shard& shard, const std::shared_ptr<BatchGather>& gather,
@@ -534,9 +570,6 @@ class ZhtServer {
                         Status status);
   // In-shard digest of the partition's store ({0, 0} when absent).
   static PartitionDigest DigestOfStore(const KVStore* store);
-  // Flags chain members with an in-flight rebuild stream in plan.via_async.
-  void ApplyRebuildDiversions(const Shard& shard, PartitionId partition,
-                              ReplicaPlan* plan) const;
   // Marks `partition` migrating in its shard, then StreamTransfer()s it to
   // `target`; End's result posts FinishMigrateOut back to the shard.
   void StartMigrateOut(PartitionId partition, const NodeAddress& target,
@@ -558,11 +591,10 @@ class ZhtServer {
   std::vector<ShardCensus> CensusNow() const;  // blocking ScatterCensus
 
   // --- replication (finisher/async threads; addresses pre-resolved) ---
-  void ReplicateSync(const Request& original, PartitionId partition,
-                     const ReplicaPlan& plan);
-  void ReplicateBatchResolved(std::vector<Request> ops,
-                              const std::vector<PartitionId>& partitions,
-                              const std::vector<ReplicaPlan>& plans);
+  // The one leg sender: plans[i] is ops[i]'s. Sends every synchronous leg,
+  // one CallBatch per target, and queues the rest, one message per target.
+  void SendReplicaLegs(std::span<const Request> ops,
+                       std::span<const ReplicaPlan> plans);
   void EnqueueAsyncReplication(Request request, const NodeAddress& target);
   // As above, plus a completion hook run on the async worker with the
   // peer's result (rebuild End verification). Null hook = fire-and-forget.

@@ -160,9 +160,8 @@ Result<Response> FaultInjectingTransport::Call(const NodeAddress& to,
   return response;
 }
 
-Result<std::vector<Response>> FaultInjectingTransport::CallBatch(
+Result<std::vector<Response>> FaultInjectingTransport::CallMany(
     const NodeAddress& to, std::span<const Request> requests, Nanos timeout) {
-  if (requests.empty()) return inner_->CallBatch(to, requests, timeout);
   FaultDecision d = plan_->Decide(self_, to, OpCode::kBatch,
                                   requests.front().server_origin);
   if (d.drop_request) {

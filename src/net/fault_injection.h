@@ -42,7 +42,8 @@ std::string_view FaultKindName(FaultKind kind);
 struct FaultRule {
   FaultKind kind = FaultKind::kDropRequest;
   std::optional<NodeAddress> to;  // match a single destination
-  std::optional<OpCode> op;       // match a single opcode (batches: kBatch)
+  std::optional<OpCode> op;       // match a single opcode (a batch of two
+                                  // or more: kBatch)
   bool client_only = false;       // skip server_origin (peer/manager) traffic
   double probability = 1.0;       // per matching call
   Nanos delay = 0;                // kDelay: fixed part
@@ -128,18 +129,19 @@ class FaultInjectingTransport final : public ClientTransport {
   Result<Response> Call(const NodeAddress& to, const Request& request,
                         Nanos timeout) override;
 
-  // The whole batch shares one carrier on the wire, so it suffers one
-  // decision (matched as OpCode::kBatch): a dropped request loses every
-  // sub-op, a dropped response loses every ack after every sub-op applied.
-  Result<std::vector<Response>> CallBatch(const NodeAddress& to,
-                                          std::span<const Request> requests,
-                                          Nanos timeout) override;
-
   void Invalidate(const NodeAddress& to) override { inner_->Invalidate(to); }
 
   ClientTransport* inner() { return inner_.get(); }
 
  private:
+  // A batch of two or more shares one carrier on the wire, so it suffers
+  // one decision (matched as OpCode::kBatch): a dropped request loses every
+  // sub-op, a dropped response loses every ack after every sub-op applied.
+  // A one-request batch is a plain Call and matches its own opcode.
+  Result<std::vector<Response>> CallMany(const NodeAddress& to,
+                                         std::span<const Request> requests,
+                                         Nanos timeout) override;
+
   std::unique_ptr<ClientTransport> inner_;
   std::shared_ptr<FaultPlan> plan_;
   std::optional<NodeAddress> self_;

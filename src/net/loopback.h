@@ -60,12 +60,12 @@ class LoopbackTransport final : public ClientTransport {
     return network_->Deliver(to, request);
   }
 
+ private:
   // One delivery for the whole batch: the BATCH envelope crosses the
   // in-process "wire" as a single message, matching a single frame on TCP.
-  Result<std::vector<Response>> CallBatch(const NodeAddress& to,
-                                          std::span<const Request> requests,
-                                          Nanos timeout) override {
-    if (requests.empty()) return std::vector<Response>{};
+  Result<std::vector<Response>> CallMany(const NodeAddress& to,
+                                         std::span<const Request> requests,
+                                         Nanos timeout) override {
     Request carrier = PackBatchRequest(requests, requests.front().seq);
     auto response = network_->Deliver(to, carrier);
     if (!response.ok()) return response.status();
@@ -73,12 +73,11 @@ class LoopbackTransport final : public ClientTransport {
             Status(StatusCode::kInvalidArgument).raw() &&
         response->value.empty()) {
       // Peer does not speak BATCH (e.g. a manager): fall back to per-op.
-      return ClientTransport::CallBatch(to, requests, timeout);
+      return ClientTransport::CallMany(to, requests, timeout);
     }
     return UnpackBatchResponse(*response, requests.size());
   }
 
- private:
   LoopbackNetwork* network_;
 };
 

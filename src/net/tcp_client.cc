@@ -234,15 +234,8 @@ Result<Response> TcpClient::Call(const NodeAddress& to, const Request& request,
   return Status(StatusCode::kNetwork, "unreachable");
 }
 
-Result<std::vector<Response>> TcpClient::CallBatch(
+Result<std::vector<Response>> TcpClient::CallMany(
     const NodeAddress& to, std::span<const Request> requests, Nanos timeout) {
-  if (requests.empty()) return std::vector<Response>{};
-  if (requests.size() == 1) {
-    auto response = Call(to, requests.front(), timeout);
-    if (!response.ok()) return response.status();
-    return std::vector<Response>{std::move(*response)};
-  }
-
   const Clock& clock = SystemClock::Instance();
   const Nanos deadline = clock.Now() + timeout;
 

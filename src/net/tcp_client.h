@@ -45,13 +45,6 @@ class TcpClient final : public ClientTransport {
   Result<Response> Call(const NodeAddress& to, const Request& request,
                         Nanos timeout) override;
 
-  // Pipelined batch: every BATCH-envelope frame goes out before the first
-  // response is read, so the batch pays one round-trip (per frame chunk)
-  // instead of one per operation.
-  Result<std::vector<Response>> CallBatch(const NodeAddress& to,
-                                          std::span<const Request> requests,
-                                          Nanos timeout) override;
-
   void Invalidate(const NodeAddress& to) override;
 
   // Cache telemetry (§III.F): a miss opens a fresh connection (so misses
@@ -68,6 +61,13 @@ class TcpClient final : public ClientTransport {
   }
 
  private:
+  // Pipelined batch: every BATCH-envelope frame goes out before the first
+  // response is read, so the batch pays one round-trip (per frame chunk)
+  // instead of one per operation.
+  Result<std::vector<Response>> CallMany(const NodeAddress& to,
+                                         std::span<const Request> requests,
+                                         Nanos timeout) override;
+
   // Pops an idle pooled socket to `to` or opens a fresh one (the connect
   // happens with no lock held). The caller owns the returned fd until
   // Release/close.

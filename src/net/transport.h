@@ -77,12 +77,31 @@ class ClientTransport {
   // Batched RPC: sends `requests` to one destination and returns exactly
   // requests.size() responses in order, or a batch-level error (transport
   // failure / undecodable reply) in which case no partial results are
-  // surfaced. `timeout` covers the whole batch. The default walks the batch
-  // with one Call() per request, so every transport is batch-correct;
+  // surfaced. `timeout` covers the whole batch. A batch of one request is
+  // one Call() on every transport: the wire carries the plain request, and
+  // decorators see its own opcode. Larger batches go to CallMany.
+  Result<std::vector<Response>> CallBatch(const NodeAddress& to,
+                                          std::span<const Request> requests,
+                                          Nanos timeout) {
+    if (requests.size() > 1) return CallMany(to, requests, timeout);
+    std::vector<Response> responses;
+    if (requests.empty()) return responses;
+    auto response = Call(to, requests.front(), timeout);
+    if (!response.ok()) return response.status();
+    responses.push_back(std::move(*response));
+    return responses;
+  }
+
+  // Drops any cached connection to `to` (used when a node is marked dead).
+  virtual void Invalidate(const NodeAddress& /*to*/) {}
+
+ protected:
+  // CallBatch for two or more requests. The default walks the batch with
+  // one Call() per request, so every transport is batch-correct;
   // transports override it to put many sub-requests on the wire per frame
   // (TCP: one framed write + pipelined reads, UDP: MTU-sized fragments,
   // loopback: a single delivery).
-  virtual Result<std::vector<Response>> CallBatch(
+  virtual Result<std::vector<Response>> CallMany(
       const NodeAddress& to, std::span<const Request> requests,
       Nanos timeout) {
     std::vector<Response> responses;
@@ -94,9 +113,6 @@ class ClientTransport {
     }
     return responses;
   }
-
-  // Drops any cached connection to `to` (used when a node is marked dead).
-  virtual void Invalidate(const NodeAddress& /*to*/) {}
 };
 
 }  // namespace zht

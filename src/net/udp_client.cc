@@ -83,15 +83,8 @@ Result<Response> UdpClient::Call(const NodeAddress& to, const Request& request,
                 "no acknowledgement from " + to.ToString());
 }
 
-Result<std::vector<Response>> UdpClient::CallBatch(
+Result<std::vector<Response>> UdpClient::CallMany(
     const NodeAddress& to, std::span<const Request> requests, Nanos timeout) {
-  if (requests.empty()) return std::vector<Response>{};
-  if (requests.size() == 1) {
-    auto response = Call(to, requests.front(), timeout);
-    if (!response.ok()) return response.status();
-    return std::vector<Response>{std::move(*response)};
-  }
-
   const Clock& clock = SystemClock::Instance();
   const Nanos deadline = clock.Now() + timeout;
 

@@ -31,16 +31,16 @@ class UdpClient final : public ClientTransport {
   Result<Response> Call(const NodeAddress& to, const Request& request,
                         Nanos timeout) override;
 
-  // Fragments the batch into MTU-sized BATCH datagrams; each fragment is an
-  // independent ack'd exchange (a lost fragment retransmits alone). Safe
-  // across retransmits: append dedup keys on each sub-op's (client, seq).
-  Result<std::vector<Response>> CallBatch(const NodeAddress& to,
-                                          std::span<const Request> requests,
-                                          Nanos timeout) override;
-
   std::uint64_t retransmits() const { return retransmits_; }
 
  private:
+  // Fragments the batch into MTU-sized BATCH datagrams; each fragment is an
+  // independent ack'd exchange (a lost fragment retransmits alone). Safe
+  // across retransmits: append dedup keys on each sub-op's (client, seq).
+  Result<std::vector<Response>> CallMany(const NodeAddress& to,
+                                         std::span<const Request> requests,
+                                         Nanos timeout) override;
+
   UdpClientOptions options_;
   std::mutex call_mu_;  // one in-flight datagram exchange at a time
   int fd_ = -1;

@@ -286,6 +286,19 @@ TEST_F(FaultInjectionTest, BatchSuffersOneDecision) {
   EXPECT_EQ(delivered_.load(), 1u);
 }
 
+TEST_F(FaultInjectionTest, OneRequestBatchMatchesItsOwnOpcode) {
+  // A one-request batch crosses the wire as the plain request, so a rule
+  // keyed on that request's opcode applies to it.
+  plan_->AddRule({.kind = FaultKind::kDropResponse, .op = OpCode::kAppend});
+  std::vector<Request> requests(1);
+  requests[0].op = OpCode::kAppend;
+  requests[0].key = "k";
+  auto responses = transport_->CallBatch(address_, requests, kTestTimeout);
+  EXPECT_EQ(responses.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(delivered_.load(), 1u);
+  EXPECT_EQ(plan_->stats().dropped_responses, 1u);
+}
+
 // ---- Real sockets -----------------------------------------------------
 
 class EpollServerTest : public ::testing::Test {

@@ -7,6 +7,9 @@
 // TransferStreamTest cancels a stream whose Begin failed (ctest label
 // `recovery`). ReplicatedAckTest covers the ack of a replicated write: a
 // failed sync leg is counted, and the leg runs beside the group commit.
+// DataOpParityTest checks that a single-key request and the same op alone
+// in a BATCH get the same answer, and DurableDedupTest that a retransmitted
+// append is not acked before the original is durable.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "core/zht_server.h"
 #include "net/loopback.h"
 #include "novoht/novoht.h"
+#include "serialize/batch.h"
 #include "serialize/metrics_codec.h"
 
 namespace zht {
@@ -289,6 +294,121 @@ TEST_F(ZhtServerUnitTest, RemoveMissingKeyNotFound) {
   Response resp = server->Handle(DataRequest(OpCode::kRemove, key));
   EXPECT_EQ(resp.status_as_object().code(), StatusCode::kNotFound);
 }
+
+// ---- One data-op path --------------------------------------------------
+//
+// A single-key request and the same op as the only sub-op of a BATCH run
+// through the same in-shard step, so they must get the same answer and
+// leave the same effects.
+
+class DataOpParityTest
+    : public ZhtServerUnitTest,
+      public ::testing::WithParamInterface<
+          std::pair<const char*, Response (*)(DataOpParityTest&, bool)>> {
+ public:
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+  // Sends `request` to `server` as a plain request, or alone in a BATCH.
+  static Response Send(ZhtServer& server, Request request, bool batched) {
+    if (!batched) return server.Handle(std::move(request));
+    Request carrier = PackBatchRequest({&request, 1}, request.seq);
+    auto subs = UnpackBatchResponse(server.Handle(std::move(carrier)), 1);
+    EXPECT_TRUE(subs.ok()) << subs.status().ToString();
+    return subs.ok() ? std::move(subs->front()) : Response{};
+  }
+
+  // Each case builds its servers from scratch, sends one request and
+  // checks its effects.
+  static Response RedirectWithDelta(DataOpParityTest& t, bool batched) {
+    auto server = t.MakeServer(0);
+    Request request = t.DataRequest(OpCode::kInsert, t.KeyOwnedBy(1), "v");
+    request.epoch = 0;  // a stale client: the redirect carries a delta
+    Response resp = Send(*server, std::move(request), batched);
+    EXPECT_EQ(resp.status_as_object().code(), StatusCode::kRedirect);
+    EXPECT_FALSE(resp.membership.empty());
+    return resp;
+  }
+
+  static Response Migrating(DataOpParityTest& t, bool batched) {
+    auto server = t.MakeServer(0);
+    const std::string key = t.KeyOwnedBy(0);
+    Request begin;
+    begin.op = OpCode::kTransferBegin;
+    begin.seq = 1000;
+    begin.partition = t.table_.PartitionOfKey(key);
+    begin.server_origin = true;
+    EXPECT_TRUE(server->Handle(std::move(begin)).ok());
+    Response resp =
+        Send(*server, t.DataRequest(OpCode::kInsert, key, "v"), batched);
+    EXPECT_EQ(resp.status_as_object().code(), StatusCode::kMigrating);
+    return resp;
+  }
+
+  static Response RemoveMissing(DataOpParityTest& t, bool batched) {
+    auto server = t.MakeServer(0);
+    Response resp = Send(
+        *server, t.DataRequest(OpCode::kRemove, t.KeyOwnedBy(0)), batched);
+    EXPECT_EQ(resp.status_as_object().code(), StatusCode::kNotFound);
+    return resp;
+  }
+
+  static Response DuplicateAppend(DataOpParityTest& t, bool batched) {
+    auto server = t.MakeServer(0);
+    const std::string key = t.KeyOwnedBy(0);
+    Request append = t.DataRequest(OpCode::kAppend, key, "x");
+    append.client_id = 77;
+    EXPECT_TRUE(server->Handle(Request(append)).ok());
+    Response resp = Send(*server, std::move(append), batched);
+    EXPECT_EQ(server->Handle(t.DataRequest(OpCode::kLookup, key)).value, "x");
+    EXPECT_EQ(server->stats().duplicate_appends_dropped, 1u);
+    return resp;
+  }
+
+  static Response FailoverWriteAtSecondary(DataOpParityTest& t, bool batched) {
+    // Instance 1 is the secondary of instance 0's partitions. The client
+    // skipped instance 0, which is in fact alive: the write must reach it.
+    auto owner = t.MakeServer(0, /*replicas=*/1);
+    auto secondary = t.MakeServer(1, /*replicas=*/1);
+    t.network_.Register(t.addresses_[0], owner->AsyncHandler());
+    t.network_.Register(t.addresses_[1], secondary->AsyncHandler());
+    const std::string key = t.KeyOwnedBy(0);
+    Request write = t.DataRequest(OpCode::kInsert, key, "fv");
+    write.replica_index = 1;
+    Response resp = Send(*secondary, std::move(write), batched);
+    EXPECT_TRUE(resp.ok());
+    const Pairs expected = {{key, "fv"}};
+    EXPECT_EQ(owner->PartitionPairs(t.table_.PartitionOfKey(key)), expected);
+    EXPECT_EQ(secondary->stats().replications_sync, 1u);
+    t.network_.Unregister(t.addresses_[0]);
+    t.network_.Unregister(t.addresses_[1]);
+    return resp;
+  }
+};
+
+TEST_P(DataOpParityTest, SingleKeyEqualsOneOpBatch) {
+  auto fields = [](const Response& r) {
+    return std::make_tuple(r.status, r.seq, r.epoch, r.value, r.membership,
+                           r.redirect_host, r.redirect_port,
+                           r.retry_after_us);
+  };
+  seq_ = 0;
+  const Response single = GetParam().second(*this, /*batched=*/false);
+  seq_ = 0;
+  const Response batched = GetParam().second(*this, /*batched=*/true);
+  EXPECT_EQ(fields(single), fields(batched));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, DataOpParityTest,
+    ::testing::Values(
+        std::make_pair("RedirectWithDelta",
+                       &DataOpParityTest::RedirectWithDelta),
+        std::make_pair("Migrating", &DataOpParityTest::Migrating),
+        std::make_pair("RemoveMissing", &DataOpParityTest::RemoveMissing),
+        std::make_pair("DuplicateAppend", &DataOpParityTest::DuplicateAppend),
+        std::make_pair("FailoverWriteAtSecondary",
+                       &DataOpParityTest::FailoverWriteAtSecondary)),
+    [](const auto& info) { return std::string(info.param.first); });
 
 // STATS answers with the versioned structured metrics encoding: the
 // instance-level gauges plus one `server.*` name per event.
@@ -970,6 +1090,96 @@ TEST(ReplicatedAckTest, SyncLegOverlapsTheLocalGroupCommit) {
     EXPECT_FALSE(gate->timed_out.load())
         << "the sync leg did not start until the primary's fsync returned";
     EXPECT_EQ(*client->Lookup(key), "overlapped");
+  }
+  fs::remove_all(dir);
+}
+
+// A retransmitted append must not be acked before the original is
+// durable: the first fsync is held, the retransmit arrives meanwhile, and
+// then that fsync fails. Acking the retransmit at once would answer OK for
+// an append a crash then loses.
+TEST(DurableDedupTest, RetransmittedAppendWaitsForTheOriginalsFsync) {
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("zht_dedup_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool armed = false;
+    bool entered = false;
+    bool released = false;
+  };
+  auto gate = std::make_shared<Gate>();
+
+  ZhtServerOptions options;
+  options.cluster.durability = DurabilityMode::kGroupCommit;
+  options.num_shards = 1;
+  options.store_factory = [dir, gate](InstanceId self, PartitionId p)
+      -> std::unique_ptr<KVStore> {
+    NoVoHTOptions store;
+    store.path = (dir / ("i" + std::to_string(self) + "_p" +
+                         std::to_string(p)))
+                     .string();
+    store.durability = DurabilityMode::kGroupCommit;
+    store.wait_for_durable = false;
+    store.fsync_hook = [gate](int fd) {
+      std::unique_lock<std::mutex> lock(gate->mu);
+      if (!gate->armed) return ::fdatasync(fd);
+      gate->armed = false;
+      gate->entered = true;
+      gate->cv.notify_all();
+      gate->cv.wait(lock, [&] { return gate->released; });
+      return -1;  // the held fsync fails
+    };
+    auto opened = NoVoHT::Open(store);
+    return opened.ok() ? std::move(*opened) : nullptr;
+  };
+  {
+    LoopbackNetwork network;
+    LoopbackTransport transport(&network);
+    ZhtServer server(MembershipTable::CreateUniform(
+                         8, {NodeAddress{"10.0.0.1", 50000}}),
+                     options, &transport);
+    Request append;
+    append.op = OpCode::kAppend;
+    append.seq = 5;
+    append.key = "k";
+    append.value = "x";
+    append.client_id = 77;
+    // Opens the store before the gate is armed.
+    Request warm = append;
+    warm.seq = 4;
+    ASSERT_TRUE(server.Handle(std::move(warm)).ok());
+
+    {
+      std::lock_guard<std::mutex> lock(gate->mu);
+      gate->armed = true;
+    }
+    std::promise<Response> first;
+    std::promise<Response> second;
+    server.HandleAsync(Request(append), [&first](Response&& resp) {
+      first.set_value(std::move(resp));
+    });
+    {
+      std::unique_lock<std::mutex> lock(gate->mu);
+      ASSERT_TRUE(gate->cv.wait_for(lock, std::chrono::seconds(5),
+                                    [&] { return gate->entered; }));
+    }
+    server.HandleAsync(Request(append), [&second](Response&& resp) {
+      second.set_value(std::move(resp));
+    });
+    {
+      std::lock_guard<std::mutex> lock(gate->mu);
+      gate->released = true;
+    }
+    gate->cv.notify_all();
+    const Response original = first.get_future().get();
+    const Response retransmit = second.get_future().get();
+    EXPECT_FALSE(original.ok());
+    EXPECT_FALSE(retransmit.ok())
+        << "the retransmit was acked before the original was durable";
+    EXPECT_EQ(server.stats().duplicate_appends_dropped, 1u);
   }
   fs::remove_all(dir);
 }
