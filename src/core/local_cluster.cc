@@ -11,11 +11,11 @@ LocalCluster::LocalCluster(const LocalClusterOptions& options)
     : options_(options) {}
 
 LocalCluster::~LocalCluster() {
-  // Servers stop their async workers in their destructors; epoll servers
+  // Servers stop their peer-I/O pools in their destructors; epoll servers
   // must stop first so no new requests arrive mid-teardown.
   for (auto& es : epoll_servers_) es->Stop();
-  // Quiesce background peer I/O (async replication legs, rebuild probes and
-  // checkpoint streams on finisher threads) before any server is destroyed:
+  // Quiesce background peer I/O (replication legs, rebuild probes and
+  // checkpoint streams on the peer-I/O pool) before any server is destroyed:
   // servers_ tears down in vector order, and a straggling probe from a
   // later server must not call into an earlier one that is already gone.
   for (auto& server : servers_) {

@@ -225,13 +225,13 @@ ZhtServer::ZhtServer(MembershipTable table, const ZhtServerOptions& options,
   counters_.hot_cache_drops = metrics_.GetCounter("server.cache.drop");
   counters_.sheds = metrics_.GetCounter("server.admission.shed");
 
+  // 2–4 threads for sync legs and probes, plus one for the lane.
   const std::size_t num_finishers =
-      std::max<std::size_t>(2, std::min<std::size_t>(4, num_shards));
+      std::max<std::size_t>(2, std::min<std::size_t>(4, num_shards)) + 1;
   finishers_.reserve(num_finishers);
   for (std::size_t i = 0; i < num_finishers; ++i) {
     finishers_.emplace_back([this] { FinisherLoop(); });
   }
-  async_worker_ = std::thread([this] { AsyncReplicationLoop(); });
 }
 
 ZhtServer::~ZhtServer() {
@@ -239,8 +239,8 @@ ZhtServer::~ZhtServer() {
   // Contract: the hosting front-end has stopped (joined) its reactors
   // before destroying the server. Drain remaining mailbox work and wait
   // for every in-flight request to complete (durability callbacks park on
-  // log flushers; replication finishers are still running, may Post
-  // concurrently, and are stopped only after this).
+  // log flushers; the peer-I/O pool is still running, may Post
+  // concurrently, and is stopped only after this, once it has run dry).
   for (;;) {
     for (auto& shard : shards_) Drain(*shard);
     if (inflight_.load(std::memory_order_acquire) == 0) break;
@@ -255,12 +255,6 @@ ZhtServer::~ZhtServer() {
   for (std::thread& t : finishers_) {
     if (t.joinable()) t.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    async_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (async_worker_.joinable()) async_worker_.join();
   // Tear the stores down while this server's mutexes and condition
   // variables are still alive: destroying the last store on a log joins
   // the log's flusher thread, which may still be exiting a signal
@@ -660,7 +654,8 @@ Status ZhtServer::ApplyToStore(Shard& shard, OpCode op, PartitionId partition,
 }
 
 std::optional<ZhtServer::ReplicaPlan> ZhtServer::MakeReplicaPlan(
-    const Shard& shard, const Request& request, const DataRoute& route) const {
+    const Shard& shard, const Request& request, const DataRoute& route,
+    LegGroups* lane) const {
   if (options_.cluster.num_replicas == 0 || request.server_origin ||
       route.chain.size() < 2) {
     return std::nullopt;
@@ -673,45 +668,48 @@ std::optional<ZhtServer::ReplicaPlan> ZhtServer::MakeReplicaPlan(
   // machinery applies; the rotation (not a suffix) matters because a
   // skipped member may in fact be alive — a spurious detector mark — and
   // serving reads, which is also why every leg of such a plan is
-  // synchronous.
-  ReplicaPlan plan;
-  plan.partition = route.partition;
-  if (request.replica_index == 0) {
-    plan.chain = route.chain;
-  } else {
-    auto self_it =
-        std::find(route.chain.begin(), route.chain.end(), options_.self);
-    if (self_it == route.chain.end()) return std::nullopt;
-    plan.chain.push_back(options_.self);
-    plan.chain.insert(plan.chain.end(), std::next(self_it), route.chain.end());
-    plan.chain.insert(plan.chain.end(), route.chain.begin(), self_it);
-    plan.all_sync = true;
-  }
-  // Resolve every chain address while the shard's table is at hand, so
-  // finishers and the async worker never touch a membership table.
-  plan.addresses.reserve(plan.chain.size());
-  for (InstanceId id : plan.chain) {
-    plan.addresses.push_back(id < shard.table.instance_count()
-                                 ? shard.table.Instance(id).address
-                                 : NodeAddress{});
+  // synchronous. Otherwise only the secondary's leg is.
+  std::vector<InstanceId> chain = route.chain;
+  std::size_t sync_end = 2;
+  if (request.replica_index != 0) {
+    auto self_it = std::find(chain.begin(), chain.end(), options_.self);
+    if (self_it == chain.end()) return std::nullopt;
+    std::rotate(chain.begin(), self_it, chain.end());
+    sync_end = chain.size();
   }
   // Members with an in-flight rebuild stream take their legs through the
-  // async queue, behind the stream.
+  // lane, behind the stream.
   auto rebuild = shard.rebuild_out.find(route.partition);
-  if (rebuild != shard.rebuild_out.end() && !rebuild->second.targets.empty()) {
-    plan.via_async.assign(plan.chain.size(), 0);
-    for (std::size_t i = 0; i < plan.chain.size(); ++i) {
-      for (const RebuildTarget& target : rebuild->second.targets) {
-        if (target.id == plan.chain[i]) plan.via_async[i] = 1;
-      }
+  ReplicaPlan plan;
+  plan.partition = route.partition;
+  for (std::size_t r = 1; r < chain.size(); ++r) {
+    const InstanceId id = chain[r];
+    const bool diverted =
+        rebuild != shard.rebuild_out.end() &&
+        std::any_of(rebuild->second.targets.begin(),
+                    rebuild->second.targets.end(),
+                    [id](const RebuildTarget& t) { return t.id == id; });
+    // Addresses resolve here, so pool threads never touch a table.
+    ReplicaLeg leg{id,
+                   id < shard.table.instance_count()
+                       ? shard.table.Instance(id).address
+                       : NodeAddress{},
+                   static_cast<std::uint8_t>(r)};
+    if (r < sync_end && !diverted) {
+      plan.sync.push_back(std::move(leg));
+    } else {
+      AddLeg(request, route.partition, leg, lane);
     }
   }
+  replication_fanout_hist_->Record(static_cast<std::int64_t>(chain.size()) - 1);
+  if (plan.sync.empty()) return std::nullopt;
   return plan;
 }
 
 ZhtServer::AppliedOp ZhtServer::ApplyDataOp(Shard& shard,
                                             const Request& request,
-                                            std::atomic<bool>* delta_gate) {
+                                            std::atomic<bool>* delta_gate,
+                                            LegGroups* lane) {
   AppliedOp out;
   DataRoute route = RouteDataOp(shard, request, delta_gate);
   out.partition = route.partition;
@@ -764,7 +762,7 @@ ZhtServer::AppliedOp ZhtServer::ApplyDataOp(Shard& shard,
   CacheInvalidate(shard, request.key);
   if (!status.ok()) return out;
   out.durable_wait = true;
-  out.plan = MakeReplicaPlan(shard, request, route);
+  out.plan = MakeReplicaPlan(shard, request, route, lane);
   return out;
 }
 
@@ -780,7 +778,9 @@ ZhtServer::CommitPoint ZhtServer::CommitPointOf(const Shard& shard,
 void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
                            ResponseCallback done, Nanos start) {
   const OpCode op = request.op;
-  AppliedOp applied = ApplyDataOp(shard, request, nullptr);
+  LegGroups lane;
+  AppliedOp applied = ApplyDataOp(shard, request, nullptr, &lane);
+  QueueLaneLegs(lane);
   const CommitPoint commit = applied.durable_wait
                                  ? CommitPointOf(shard, applied.partition)
                                  : CommitPoint{};
@@ -806,11 +806,12 @@ void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
   }
 
   // A synchronous hop to the secondary keeps primary+secondary strongly
-  // consistent; it is peer I/O, so it runs on a finisher, never inside a
-  // shard drain or a flusher callback. On a durable store the leg starts
-  // now, beside the group commit, and the ack waits for both. A failed
-  // local sync still fails the op, even if its leg has landed: the op was
-  // never acked, so it stays ambiguous to the client.
+  // consistent; it is peer I/O, so it runs on a pool thread (its ticket
+  // taken here, in-shard), never inside a shard drain or a flusher
+  // callback. On a durable store the leg starts now, beside the group
+  // commit, and the ack waits for both. A failed local sync still fails the
+  // op, even if its leg has landed: the op was never acked, so it stays
+  // ambiguous to the client.
   auto join = std::make_shared<AckJoin>();
   join->resp = std::move(applied.resp);
   join->done = std::move(done);
@@ -893,6 +894,11 @@ void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
   gather->remaining.store(active_groups, kRelaxed);
   gather->applying.store(active_groups, kRelaxed);
   const bool server_batch = request.server_origin;
+  // The carrier's sync-leg ticket is taken before any group applies, so a
+  // transfer that snapshots one of its writes waits for its legs.
+  if (!server_batch && options_.cluster.num_replicas > 0) {
+    gather->ticket = ReserveTicket();
+  }
   for (std::size_t s = 0; s < groups.size(); ++s) {
     if (groups[s].empty()) continue;
     Shard& shard = *shards_[s];
@@ -935,14 +941,16 @@ void ZhtServer::ExecBatchGroup(Shard& shard,
                                std::vector<std::size_t> indices) {
   // Sub-ops whose ack waits for their store's durability.
   std::vector<std::size_t> mutations;
+  LegGroups lane;
   for (std::size_t i : indices) {
     AppliedOp applied =
-        ApplyDataOp(shard, gather->ops[i], &gather->delta_sent);
+        ApplyDataOp(shard, gather->ops[i], &gather->delta_sent, &lane);
     gather->partitions[i] = applied.partition;
     gather->responses[i] = std::move(applied.resp);
     gather->plans[i] = std::move(applied.plan);
     if (applied.durable_wait) mutations.push_back(i);
   }
+  QueueLaneLegs(lane);  // one message per target, from this drain
   BatchGroupApplied(gather);
 
   // Durable ack, once per touched store: tokens are captured after every
@@ -1009,13 +1017,17 @@ void ZhtServer::BatchGroupApplied(const std::shared_ptr<BatchGather>& gather) {
     ops.push_back(std::move(gather->ops[i]));
     plans.push_back(std::move(*gather->plans[i]));
   }
-  if (ops.empty()) return;
+  if (ops.empty()) {
+    ReleaseTicket(gather->ticket);
+    return;
+  }
   gather->remaining.fetch_add(1, kRelaxed);
-  EnqueueFinisher([this, gather, ops = std::move(ops),
-                   plans = std::move(plans)] {
-    SendReplicaLegs(ops, plans);
-    CompleteBatchGroup(gather);
-  });
+  EnqueueFinisher(
+      [this, gather, ops = std::move(ops), plans = std::move(plans)] {
+        SendReplicaLegs(ops, plans);
+        CompleteBatchGroup(gather);
+      },
+      gather->ticket);
 }
 
 void ZhtServer::CompleteBatchGroup(
@@ -1193,7 +1205,7 @@ Status ZhtServer::MigratePartitionTo(PartitionId partition,
 // transfer"). One Begin/Data*/End stream, verified by the destination's End
 // digest check, serves migration and rebuild. For a rebuild the owner
 // digest-probes its replica chain, streams to the members that mismatch,
-// and the FIFO async queue doubles as the catch-up replay: sync legs to an
+// and the FIFO lane doubles as the catch-up replay: sync legs to an
 // in-rebuild destination divert behind the stream's End, so the
 // destination converges without ever blocking writes here.
 // ---------------------------------------------------------------------------
@@ -1463,10 +1475,10 @@ void ZhtServer::StreamTransfer(Shard& shard, PartitionId partition,
     request.server_origin = true;
     return request;
   };
-  // Snapshot, digest and batch in one in-shard pass, then enqueue the
-  // whole Begin/Data*/End conversation before this shard task returns. The
-  // queue is FIFO, so every leg enqueued after this task (a rebuild's
-  // diverted writes) lands after End — that ordering IS the catch-up replay.
+  // Snapshot, digest and batch in one in-shard pass, then queue the whole
+  // Begin/Data*/End conversation before this shard task returns. Lane legs
+  // are queued only in drains, so every later write's land after End —
+  // that ordering IS the catch-up replay (and see RunLane for Begin).
   PartitionDigest digest;
   TransferSize size;
   std::vector<Request> carriers;
@@ -1493,7 +1505,7 @@ void ZhtServer::StreamTransfer(Shard& shard, PartitionId partition,
   }
   flush();
   // A target that cannot take Begin cannot take the rest either: the
-  // worker then drops the stream's legs instead of timing out on each.
+  // lane then drops the stream's legs instead of timing out on each.
   auto stream = std::make_shared<Status>();
   EnqueueAsyncLeg(message(OpCode::kTransferBegin), target,
                   [stream](const Result<Response>& result) {
@@ -1627,19 +1639,16 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
     }
   }
 
+  // The hops are queued here, like every lane leg; the reply waits.
+  request.server_origin = true;
+  for (const NodeAddress& child : children) EnqueueAsyncLeg(request, child);
   const CommitPoint commit =
       put.ok() ? CommitPointOf(shard, partition) : CommitPoint{};
-  auto fin = [this, seq = request.seq, forward = std::move(request),
-              children = std::move(children), put,
+  auto fin = [seq = request.seq, put,
               done = std::move(done)](Status durable) mutable {
     Response resp;
     resp.seq = seq;
     resp.status = (put.ok() ? durable : put).raw();
-    for (const NodeAddress& child : children) {
-      Request hop = forward;
-      hop.server_origin = true;
-      EnqueueAsyncReplication(std::move(hop), child);
-    }
     done(std::move(resp));
   };
   if (commit.token != 0) {
@@ -1650,40 +1659,30 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
 }
 
 // ---------------------------------------------------------------------------
-// Replication (finisher/async-worker threads; addresses pre-resolved)
+// Replication and the peer-I/O pool (addresses pre-resolved in-shard)
 // ---------------------------------------------------------------------------
+
+void ZhtServer::AddLeg(const Request& op, PartitionId partition,
+                       const ReplicaLeg& target, LegGroups* groups) {
+  auto& group = (*groups)[target.id];
+  group.first = target.address;
+  Request& leg = group.second.emplace_back(op);
+  leg.server_origin = true;
+  leg.partition = partition;
+  leg.replica_index = target.replica_index;
+}
 
 void ZhtServer::SendReplicaLegs(std::span<const Request> ops,
                                 std::span<const ReplicaPlan> plans) {
-  // One leg per (op, chain member past this instance), grouped by target.
-  // Leg r is synchronous when it is the secondary or the plan demands every
-  // leg synchronous (failover accepts); the rest, and any leg to a member
-  // mid-rebuild, go through the async queue — FIFO per destination, so a
-  // diverted leg lands after the stream's End (the catch-up replay).
-  using Groups =
-      std::unordered_map<InstanceId,
-                         std::pair<NodeAddress, std::vector<Request>>>;
-  Groups sync_groups;
-  Groups async_groups;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const ReplicaPlan& plan = plans[i];
-    replication_fanout_hist_->Record(
-        static_cast<std::int64_t>(plan.chain.size()) - 1);
-    for (std::size_t r = 1; r < plan.chain.size(); ++r) {
-      const bool diverted = plan.via_async.size() > r && plan.via_async[r];
-      auto& group = (r < plan.sync_end() && !diverted
-                         ? sync_groups
-                         : async_groups)[plan.chain[r]];
-      group.first = plan.addresses[r];
-      Request& leg = group.second.emplace_back(ops[i]);
-      leg.server_origin = true;
-      leg.partition = plan.partition;
-      leg.replica_index = static_cast<std::uint8_t>(r);
-    }
-  }
   // The sync legs of each target go out as one CallBatch — one plain Call
   // for a single leg — before the op (or the carrier) acks.
-  for (auto& [target_id, group] : sync_groups) {
+  LegGroups groups;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for (const ReplicaLeg& target : plans[i].sync) {
+      AddLeg(ops[i], plans[i].partition, target, &groups);
+    }
+  }
+  for (auto& [target_id, group] : groups) {
     counters_.replications_sync->Increment(group.second.size());
     auto result = peer_transport_->CallBatch(group.first, group.second,
                                              options_.cluster.peer_timeout);
@@ -1693,11 +1692,12 @@ void ZhtServer::SendReplicaLegs(std::span<const Request> ops,
                << " failed: " << result.status().ToString();
     }
   }
-  // One queued message per async target: the leg itself, or a BATCH
-  // carrier, so further replicas also receive a batch as a unit.
-  for (auto& [target_id, group] : async_groups) {
+}
+
+void ZhtServer::QueueLaneLegs(LegGroups& groups) {
+  for (auto& [target_id, group] : groups) {
     counters_.replications_async->Increment(group.second.size());
-    EnqueueAsyncReplication(
+    EnqueueAsyncLeg(
         group.second.size() == 1
             ? std::move(group.second.front())
             : PackBatchRequest(group.second, group.second.front().seq,
@@ -1706,35 +1706,35 @@ void ZhtServer::SendReplicaLegs(std::span<const Request> ops,
   }
 }
 
-void ZhtServer::EnqueueAsyncReplication(Request request,
-                                        const NodeAddress& target) {
-  EnqueueAsyncLeg(std::move(request), target, nullptr);
-}
-
 void ZhtServer::EnqueueAsyncLeg(
     Request request, const NodeAddress& target,
     std::function<void(const Result<Response>&)> on_result,
     std::shared_ptr<Status> stream) {
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    async_queue_.push_back(AsyncLeg{std::move(request), target,
-                                    std::move(on_result), std::move(stream)});
+    std::lock_guard<std::mutex> lock(finisher_mu_);
+    lane_.push_back(AsyncLeg{std::move(request), target, std::move(on_result),
+                             std::move(stream), next_ticket_});
+    if (lane_.size() > 1) return;  // the lane's run is queued or going
+    // No ticket: a Begin the run holds must not wait for the run itself.
+    finisher_queue_.push_back(FinisherJob{[this] { RunLane(); },
+                                          SystemClock::Instance().Now()});
   }
-  queue_cv_.notify_one();
+  finisher_cv_.notify_one();
 }
 
-void ZhtServer::AsyncReplicationLoop() {
-  for (;;) {
-    AsyncLeg item;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock,
-                     [this] { return async_stop_ || !async_queue_.empty(); });
-      if (async_queue_.empty()) return;  // async_stop_ && drained
-      item = std::move(async_queue_.front());
-      async_queue_.pop_front();
-      ++async_inflight_;
+void ZhtServer::RunLane() {
+  std::unique_lock<std::mutex> lock(finisher_mu_);
+  while (!lane_.empty()) {
+    // The leg in flight stays at the front (only this run pops; a push does
+    // not move it), so the reference outlives the unlock.
+    AsyncLeg& item = lane_.front();
+    if (item.request.op == OpCode::kTransferBegin) {
+      // Sync legs of writes in the snapshot took older tickets.
+      finisher_idle_cv_.wait(lock, [this, &item] {
+        return outstanding_.empty() || *outstanding_.begin() >= item.ticket;
+      });
     }
+    lock.unlock();
     if (item.stream && !item.stream->ok()) {
       // Begin failed: skip the leg; End reports that failure.
       if (item.on_result) item.on_result(Result<Response>(*item.stream));
@@ -1750,45 +1750,43 @@ void ZhtServer::AsyncReplicationLoop() {
       item.on_result(
           Result<Response>(Status(StatusCode::kUnavailable, "no address")));
     }
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      --async_inflight_;
-    }
-    queue_cv_.notify_all();
+    lock.lock();
+    lane_.pop_front();
   }
 }
 
 void ZhtServer::FlushAsyncReplication() {
-  // Quiesce both pools that carry background peer I/O: the async replication
-  // queue AND the finisher pool (rebuild digest probes and checkpoint streams
-  // run on finishers, not the async queue). Each pool can enqueue into the
-  // other — a probe schedules streams, a stream completion posts follow-up
-  // work — so loop until one pass observes both idle.
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return async_queue_.empty() && async_inflight_ == 0;
-      });
-    }
-    {
-      std::unique_lock<std::mutex> lock(finisher_mu_);
-      finisher_idle_cv_.wait(lock, [this] {
-        return finisher_queue_.empty() && finisher_busy_ == 0;
-      });
-    }
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (async_queue_.empty() && async_inflight_ == 0) return;
-  }
+  // Work a job starts (a probe's streams, a stream's follow-up) is queued
+  // before the job counts as finished, so one idle observation covers it.
+  std::unique_lock<std::mutex> lock(finisher_mu_);
+  finisher_idle_cv_.wait(lock, [this] {
+    return finisher_queue_.empty() && finisher_busy_ == 0 && lane_.empty();
+  });
 }
 
-void ZhtServer::EnqueueFinisher(std::function<void()> job) {
+void ZhtServer::EnqueueFinisher(std::function<void()> job,
+                                std::uint64_t ticket) {
   const Nanos enqueued = SystemClock::Instance().Now();
+  if (ticket == 0) ticket = ReserveTicket();
   {
     std::lock_guard<std::mutex> lock(finisher_mu_);
-    finisher_queue_.push_back(FinisherJob{std::move(job), enqueued});
+    finisher_queue_.push_back(FinisherJob{std::move(job), enqueued, ticket});
   }
   finisher_cv_.notify_one();
+}
+
+std::uint64_t ZhtServer::ReserveTicket() {
+  std::lock_guard<std::mutex> lock(finisher_mu_);
+  outstanding_.insert(outstanding_.end(), next_ticket_);
+  return next_ticket_++;
+}
+
+void ZhtServer::ReleaseTicket(std::uint64_t ticket) {
+  if (ticket == 0) return;
+  std::lock_guard<std::mutex> lock(finisher_mu_);
+  // Only the oldest ticket's release can let a held Begin go on.
+  if (*outstanding_.begin() == ticket) finisher_idle_cv_.notify_all();
+  outstanding_.erase(ticket);
 }
 
 void ZhtServer::FinisherLoop() {
@@ -1805,6 +1803,7 @@ void ZhtServer::FinisherLoop() {
     }
     finisher_wait_hist_->Record(SystemClock::Instance().Now() - job.enqueued);
     job.run();
+    ReleaseTicket(job.ticket);
     {
       std::lock_guard<std::mutex> lock(finisher_mu_);
       --finisher_busy_;

@@ -31,11 +31,11 @@
 // other shard before acking. Durability acks park on the log's flusher via
 // KVStore::NotifyDurable — no thread blocks in the server for a group
 // commit. A replicated write starts its synchronous leg when it applies,
-// beside its group commit, and acks once both are done. Synchronous
-// replication legs run on a small finisher pool and partition transfers
-// (migration and rebuild alike) on the ordered async-replication worker,
-// so shard drains never do network I/O (DESIGN.md §7 "Partition
-// transfer").
+// beside its group commit, and acks once both are done. Peer I/O runs on
+// one thread pool, never in a shard drain: sync legs and digest probes as
+// jobs, background legs and partition transfers on the ordered lane, which
+// is queued only from shard drains and holds a transfer's Begin until the
+// jobs queued before it are done (DESIGN.md §7 "Partition transfer").
 //
 // Blocking adapters (Handle, MigratePartitionTo, RepairPartition,
 // TotalEntries, MetricsSnapshotNow; all built on Await in common/await.h)
@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -237,7 +238,7 @@ class ZhtServer {
   // Total pairs held (all partitions, primary and replica). Blocking.
   std::uint64_t TotalEntries() const;
 
-  // Waits until the async replication queue drains (tests/benches).
+  // Waits until the peer-I/O pool and its lane are idle (tests/benches).
   void FlushAsyncReplication();
 
  private:
@@ -302,9 +303,9 @@ class ZhtServer {
 
   // Source-side state of one anti-entropy round: the owner probed the
   // chain and is streaming to the targets that mismatched. While a target
-  // is listed here, synchronous replication legs to it divert into the
-  // async queue so post-snapshot writes land after the stream's End (the
-  // queue is FIFO per destination — that ordering IS the catch-up replay).
+  // is listed here, synchronous replication legs to it divert onto the
+  // lane so post-snapshot writes land after the stream's End (the lane is
+  // FIFO — that ordering IS the catch-up replay).
   struct RebuildOut {
     std::vector<RebuildTarget> targets;
     std::function<void(Status)> done;
@@ -378,29 +379,21 @@ class ZhtServer {
     std::optional<Response> redirect;
   };
 
-  // Replica chain with its addresses resolved in-shard, so replication
-  // finishers never touch a membership table.
+  struct ReplicaLeg {  // a chain member, its address and its chain depth
+    InstanceId id = 0;
+    NodeAddress address;
+    std::uint8_t replica_index = 0;
+  };
+
+  // The sync legs an applied client mutation owes its replica chain, sent
+  // by a pool job before the ack.
   struct ReplicaPlan {
     PartitionId partition = 0;
-    std::vector<InstanceId> chain;
-    std::vector<NodeAddress> addresses;  // parallel to chain
-    // Parallel to chain when non-empty: members whose sync leg must go
-    // through the async queue because a rebuild stream to them is in
-    // flight (computed in-shard; consumed on finisher threads).
-    std::vector<char> via_async;
-    // Every leg synchronous (not just the secondary). Set for failover
-    // writes accepted off-primary: the members the client skipped may in
-    // fact be alive (a spurious detector mark) and serving reads, so the
-    // write must land on them before the ack. Legs to genuinely dead
-    // members fail fast and cost nothing.
-    bool all_sync = false;
-
-    // Chain positions [1, sync_end()) replicate synchronously: the
-    // secondary (primary+secondary strong consistency), or every member.
-    std::size_t sync_end() const {
-      return all_sync ? chain.size() : std::min<std::size_t>(2, chain.size());
-    }
+    std::vector<ReplicaLeg> sync;
   };
+  using LegGroups =  // per target: its address and one leg request per op
+      std::unordered_map<InstanceId,
+                         std::pair<NodeAddress, std::vector<Request>>>;
 
   // What ApplyDataOp did with one data op: its response, the partition it
   // routed to, whether the ack waits for that store's durability (an
@@ -422,12 +415,13 @@ class ZhtServer {
   };
 
   // Scatter/gather state for a BATCH spanning shard owners. Each shard
-  // group fills its own disjoint response and plan slots; the last group
-  // to finish applying sends the carrier's sync replication legs, and
-  // whichever finishes last — a group's durability wait or those legs —
-  // finalizes the carrier.
+  // group fills its own disjoint response and plan slots and queues its
+  // lane legs; the last group to finish applying sends the carrier's sync
+  // replication legs, and whichever finishes last — a group's durability
+  // wait or those legs — finalizes the carrier.
   struct BatchGather {
     std::uint64_t seq = 0;
+    std::uint64_t ticket = 0;  // the sync-leg job's, reserved at scatter
     std::uint32_t epoch = 0;
     Nanos start = 0;
     std::vector<Request> ops;
@@ -495,8 +489,9 @@ class ZhtServer {
   // the store call, cache upkeep and the replica plan. `delta_gate` is the
   // BATCH's one-delta claim; it is null for a single-key op, which probed
   // the hot-key cache at ingress, while a BATCH lookup probes it here.
+  // Lane legs go into `lane`, for the caller to queue in this drain.
   AppliedOp ApplyDataOp(Shard& shard, const Request& request,
-                        std::atomic<bool>* delta_gate);
+                        std::atomic<bool>* delta_gate, LegGroups* lane);
   DataRoute RouteDataOp(Shard& shard, const Request& request,
                         std::atomic<bool>* delta_gate);
   Response RedirectTo(const Shard& shard, InstanceId owner, std::uint64_t seq,
@@ -516,13 +511,14 @@ class ZhtServer {
   // Lifts the source-side migration lock for handed-off partitions once a
   // membership update names their new owner (subsequent requests redirect).
   void ReleaseCompletedHandoffs(Shard& shard);
-  // The legs an applied client mutation owes its replica chain (none
-  // without replicas): the chain rotated to lead with this instance for a
-  // failover write, its addresses, and the members mid-rebuild whose legs
-  // divert behind the stream.
+  // The legs an applied client mutation owes its replica chain (rotated to
+  // lead with this instance for a failover write): the sync ones in the
+  // plan (none: nullopt), the rest — legs past the secondary and to members
+  // mid-rebuild — added to `lane`.
   std::optional<ReplicaPlan> MakeReplicaPlan(const Shard& shard,
                                              const Request& request,
-                                             const DataRoute& route) const;
+                                             const DataRoute& route,
+                                             LegGroups* lane) const;
 
   void StartBatch(Request&& request, ResponseCallback done);  // ingress
   void ExecBatchGroup(Shard& shard, const std::shared_ptr<BatchGather>& gather,
@@ -547,11 +543,11 @@ class ZhtServer {
     std::uint64_t bytes = 0;
   };
   using TransferDone = std::function<void(Status, TransferSize)>;
-  // In-shard: snapshot and digest `partition`, then enqueue the whole
-  // Begin/Data*/End conversation to `target` into the async queue.
+  // In-shard: snapshot and digest `partition`, then queue the whole
+  // Begin/Data*/End conversation to `target` on the lane.
   // `replica_index` is the target's chain depth (0: it becomes the owner).
-  // `on_end` runs on the async worker with End's result, or with Begin's
-  // failure, which cancels the rest of the stream.
+  // `on_end` runs on the lane with End's result, or with Begin's failure,
+  // which cancels the rest of the stream.
   void StreamTransfer(Shard& shard, PartitionId partition,
                       const NodeAddress& target, std::uint8_t replica_index,
                       TransferDone on_end);
@@ -590,22 +586,29 @@ class ZhtServer {
   MetricsSnapshot BuildSnapshot(const std::vector<ShardCensus>& census) const;
   std::vector<ShardCensus> CensusNow() const;  // blocking ScatterCensus
 
-  // --- replication (finisher/async threads; addresses pre-resolved) ---
-  // The one leg sender: plans[i] is ops[i]'s. Sends every synchronous leg,
-  // one CallBatch per target, and queues the rest, one message per target.
+  // --- replication and the peer-I/O pool ---
+  static void AddLeg(const Request& op, PartitionId partition,
+                     const ReplicaLeg& target, LegGroups* groups);
+  // Pool job: sends the sync legs (plans[i] is ops[i]'s), one CallBatch
+  // per target.
   void SendReplicaLegs(std::span<const Request> ops,
                        std::span<const ReplicaPlan> plans);
-  void EnqueueAsyncReplication(Request request, const NodeAddress& target);
-  // As above, plus a completion hook run on the async worker with the
-  // peer's result (rebuild End verification). Null hook = fire-and-forget.
-  void EnqueueAsyncLeg(Request request, const NodeAddress& target,
-                       std::function<void(const Result<Response>&)> on_result,
-                       std::shared_ptr<Status> stream = nullptr);
-  void AsyncReplicationLoop();
+  // In-shard: one lane message per target (the leg, or a BATCH carrier).
+  void QueueLaneLegs(LegGroups& groups);
+  // Queues `request` on the lane; in-shard only, so the lane keeps the
+  // shards' order. `on_result` (may be null) runs on the lane with the
+  // peer's result.
+  void EnqueueAsyncLeg(
+      Request request, const NodeAddress& target,
+      std::function<void(const Result<Response>&)> on_result = nullptr,
+      std::shared_ptr<Status> stream = nullptr);
+  void RunLane();  // the lane's pool job: runs it until it is empty
 
-  // Every job records how long it queued before a finisher started it in
-  // `server.stage.finisher_wait_ns`.
-  void EnqueueFinisher(std::function<void()> job);
+  // Queues a pool job under a ticket from ReserveTicket, or a fresh one
+  // (0), and times its queue wait (`server.stage.finisher_wait_ns`).
+  void EnqueueFinisher(std::function<void()> job, std::uint64_t ticket = 0);
+  std::uint64_t ReserveTicket();
+  void ReleaseTicket(std::uint64_t ticket);  // 0: none
   void FinisherLoop();
   void FinishAckJoin(AckJoin& join);
 
@@ -691,40 +694,38 @@ class ZhtServer {
   mutable std::mutex idle_mu_;
   mutable std::condition_variable idle_cv_;
 
-  // Finisher pool: synchronous replication legs, batch replication and
-  // digest probes — peer I/O that must never run inside a shard drain.
+  // The peer-I/O pool: sync legs and digest probes are jobs in one FIFO,
+  // each holding a ticket until it finishes; the lane's run is one more.
   std::mutex finisher_mu_;
   std::condition_variable finisher_cv_;
-  // Separate CV for idle waiters (FlushAsyncReplication): EnqueueFinisher's
-  // notify_one must always wake a worker, never a flusher.
+  // Separate CV for idle waiters (FlushAsyncReplication) and a Begin held on
+  // the lane: EnqueueFinisher's notify_one must always wake a worker.
   std::condition_variable finisher_idle_cv_;
   struct FinisherJob {
     std::function<void()> run;
     Nanos enqueued = 0;
+    std::uint64_t ticket = 0;  // 0: untracked (the lane's run)
   };
   std::deque<FinisherJob> finisher_queue_;
   std::size_t finisher_busy_ = 0;
   bool finishers_stop_ = false;
-  std::vector<std::thread> finishers_;
+  std::uint64_t next_ticket_ = 1;
+  std::set<std::uint64_t> outstanding_;  // queued, running or reserved
 
-  // Asynchronous replication worker: replicas beyond the secondary, legs
-  // diverted behind a rebuild, and every partition transfer, in one FIFO.
-  // Targets carry addresses resolved in-shard at enqueue time.
+  // The ordered lane: background legs, run in order by at most one pool
+  // thread; the front is the leg in flight.
   struct AsyncLeg {
     Request request;
     NodeAddress target;
     std::function<void(const Result<Response>&)> on_result;  // may be null
     // Shared by the legs of one transfer stream; holds the failure of its
-    // Begin, after which the worker drops the stream's remaining legs and
-    // hands the failure to End's on_result. Touched only by the worker.
+    // Begin, after which the lane drops the stream's remaining legs and
+    // hands the failure to End's on_result. Touched only by the lane.
     std::shared_ptr<Status> stream;
+    std::uint64_t ticket = 0;  // every ticket below was taken before it
   };
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<AsyncLeg> async_queue_;
-  std::size_t async_inflight_ = 0;
-  bool async_stop_ = false;
-  std::thread async_worker_;
+  std::deque<AsyncLeg> lane_;
+  std::vector<std::thread> finishers_;  // last: its threads use the above
 };
 
 }  // namespace zht

@@ -9,9 +9,8 @@
 // held only for pool bookkeeping — never across connect() or request I/O.
 // A caller pops an idle socket (or opens a fresh one) and owns it
 // exclusively for the duration of the RPC, so N concurrent callers — e.g.
-// N server reactors doing sync replication plus the async-replication
-// worker — proceed in parallel even toward the same peer, each on its own
-// socket.
+// the threads of a server's peer-I/O pool — proceed in parallel even
+// toward the same peer, each on its own socket.
 #pragma once
 
 #include <atomic>

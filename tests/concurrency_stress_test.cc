@@ -11,7 +11,9 @@
 //  2. real sockets: a multi-reactor EpollServer per instance (one shard
 //     per reactor), concurrent cached TCP clients;
 //  3. a chaos schedule (delay + duplicate + dropped responses) under the
-//     multi-reactor TCP cluster, with the checker again as the oracle.
+//     multi-reactor TCP cluster, with the checker again as the oracle;
+//  4. loopback, r=2, delayed legs: the ordered lane of every server keeps
+//     being scheduled while sync legs hold its pool's threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +24,7 @@
 #include "core/local_cluster.h"
 #include "history_checker.h"
 #include "net/epoll_server.h"
+#include "net/fault_injection.h"
 #include "net/tcp_client.h"
 
 namespace zht {
@@ -271,6 +274,56 @@ TEST(ConcurrencyStressTest, MultiReactorChaosScheduleLinearizes) {
 // membership pulls and STATS census scatters, so unbound-shard drains (CAS
 // hand-off between posting threads) race under TSan. Every response must
 // arrive exactly once.
+// Lane legs queued from every shard while each pool thread sits in a
+// delayed sync leg: an enqueue that finds the lane idle must schedule it
+// even as the previous run is finding the lane empty, or a leg strands,
+// FlushAsyncReplication never returns and a tertiary misses keys.
+TEST(ConcurrencyStressTest, LaneIsScheduledWhileSyncLegsHoldThePool) {
+  constexpr int kWriters = 16;
+  constexpr int kKeysPerWriter = 12;
+  LocalClusterOptions options;
+  options.num_instances = 3;
+  options.num_partitions = 24;
+  options.cluster.num_replicas = 2;
+  options.fault_plan = std::make_shared<FaultPlan>(2024);
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  options.fault_plan->AddRule({.kind = FaultKind::kDelay,
+                               .op = OpCode::kInsert,
+                               .delay = 5 * kNanosPerMilli});
+
+  std::vector<std::thread> writers;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      auto client = (*cluster)->CreateClient(StressClient());
+      for (int i = 0; i < kKeysPerWriter; ++i) {
+        if (!client->Insert(PrivateKey(t, i), "v").ok()) ++failures;
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  (*cluster)->FlushAllAsyncReplication();
+  options.fault_plan->Clear();
+  const MembershipTable table = (*cluster)->TableSnapshot();
+  for (int t = 0; t < kWriters; ++t) {
+    for (int i = 0; i < kKeysPerWriter; ++i) {
+      const std::string key = PrivateKey(t, i);
+      const PartitionId p = table.PartitionOfKey(key);
+      const std::vector<InstanceId> chain = table.ReplicaChain(p, 2);
+      ASSERT_EQ(chain.size(), 3u);
+      ZhtServer& tertiary = *(*cluster)->server(chain[2]);
+      bool held = false;
+      for (const auto& [k, v] : tertiary.PartitionPairs(p)) {
+        held = held || k == key;
+      }
+      EXPECT_TRUE(held) << key << " missing at tertiary " << chain[2];
+    }
+  }
+}
+
 TEST(ConcurrencyStressTest, RawHandleAsyncShardsAndSnapshotsRace) {
   LoopbackNetwork network;
   std::vector<NodeAddress> addresses;

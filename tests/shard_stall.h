@@ -127,12 +127,15 @@ class ShardStall {
     std::shared_ptr<Latch> latch_;
   };
 
-  // A stall key whose partition belongs to `shard` (shard = partition %
-  // num_shards, the server's ownership rule).
+  // A stall key whose partition `server` owns and that belongs to `shard`
+  // (shard = partition % num_shards, the server's ownership rule); a key
+  // another instance owns would be redirected and never reach the store.
   static std::string KeyOnShard(const ZhtServer& server, std::size_t shard) {
     for (int i = 0;; ++i) {
       std::string key = std::string(kKeyPrefix) + std::to_string(i);
-      if (server.table().PartitionOfKey(key) % server.num_shards() == shard) {
+      const PartitionId partition = server.table().PartitionOfKey(key);
+      if (partition % server.num_shards() == shard &&
+          server.table().OwnerOf(partition) == server.self()) {
         return key;
       }
     }

@@ -18,12 +18,18 @@ trap cleanup EXIT
 step() { echo "== $*"; }
 
 step "writing neighbor file"
-cat > "$WORK/neighbors.conf" <<NEIGH
-127.0.0.1:53910
-127.0.0.1:53911
-127.0.0.1:53912
-127.0.0.1:53913
-NEIGH
+# The daemons bind four ports just below the kernel's ephemeral range, so a
+# client socket the kernel gave one of them (say, one still in TIME_WAIT)
+# cannot make a daemon's bind fail. The block is picked by PID so that two
+# runs at once seldom share it.
+LOW=32768
+if [ -r /proc/sys/net/ipv4/ip_local_port_range ]; then
+  read -r LOW _ < /proc/sys/net/ipv4/ip_local_port_range
+fi
+BASE=$((LOW - 4 * (1 + $$ % 64)))
+for i in 0 1 2 3; do
+  echo "127.0.0.1:$((BASE + i))"
+done > "$WORK/neighbors.conf"
 
 step "starting 4 zht-server daemons"
 for i in 0 1 2 3; do
@@ -32,16 +38,22 @@ for i in 0 1 2 3; do
   PIDS+=($!)
 done
 
-step "waiting for daemons to listen"
-for _ in $(seq 1 50); do
-  if "$BUILD_DIR/tools/zht-cli" --neighbors "$WORK/neighbors.conf" \
-      ping 3 2>/dev/null | grep -q OK; then
-    break
-  fi
-  sleep 0.1
-done
-
 cli() { "$BUILD_DIR/tools/zht-cli" --neighbors "$WORK/neighbors.conf" "$@"; }
+
+step "waiting for every daemon to answer ping"
+for i in 0 1 2 3; do
+  for attempt in $(seq 1 50); do
+    if cli ping "$i" 2>/dev/null | grep -q OK; then
+      break
+    fi
+    if [ "$attempt" -eq 50 ]; then
+      echo "daemon $i (127.0.0.1:$((BASE + i))) never answered ping; its log:"
+      cat "$WORK/s$i.log"
+      exit 1
+    fi
+    sleep 0.1
+  done
+done
 
 step "insert/lookup/append/remove round-trip"
 test "$(cli insert alpha one)" = "OK"

@@ -4,7 +4,8 @@
 // membership pull/push, the partition transfer, and the append dedup
 // window. PersistentTransferTest runs the transfer on persistent stores,
 // InstanceLogServerTest runs servers on the shared instance log and
-// TransferStreamTest cancels a stream whose Begin failed (ctest label
+// TransferStreamTest cancels a stream whose Begin failed and checks that
+// no leg of a write a stream carries lands after that stream (ctest label
 // `recovery`). ReplicatedAckTest covers the ack of a replicated write: a
 // failed sync leg is counted, and the leg runs beside the group commit.
 // DataOpParityTest checks that a single-key request and the same op alone
@@ -24,10 +25,12 @@
 
 #include "core/local_cluster.h"
 #include "core/zht_server.h"
+#include "net/fault_injection.h"
 #include "net/loopback.h"
 #include "novoht/novoht.h"
 #include "serialize/batch.h"
 #include "serialize/metrics_codec.h"
+#include "shard_stall.h"
 
 namespace zht {
 namespace {
@@ -1182,6 +1185,211 @@ TEST(DurableDedupTest, RetransmittedAppendWaitsForTheOriginalsFsync) {
     EXPECT_EQ(server.stats().duplicate_appends_dropped, 1u);
   }
   fs::remove_all(dir);
+}
+
+// ---- Transfer ordering ----------------------------------------------------
+//
+// A partition streamed to a member of its own replica chain must not be
+// followed by a leg of a write the stream already carried: the target
+// would apply that write twice. Appends show it ("ab" becomes "abb").
+
+// A key of `partition`, named from `prefix`.
+std::string KeyIn(const MembershipTable& table, PartitionId partition,
+                  const std::string& prefix) {
+  for (int i = 0; i < 100000; ++i) {
+    std::string key = prefix + std::to_string(i);
+    if (table.PartitionOfKey(key) == partition) return key;
+  }
+  ADD_FAILURE() << "no key found for partition " << partition;
+  return "";
+}
+
+std::string ValueAt(ZhtServer& server, PartitionId partition,
+                    const std::string& key) {
+  for (const auto& [k, v] : server.PartitionPairs(partition)) {
+    if (k == key) return v;
+  }
+  return "<missing>";
+}
+
+Request ClientOp(OpCode op, const std::string& key, const std::string& value,
+                 std::uint64_t seq, std::uint32_t epoch) {
+  Request request;
+  request.op = op;
+  request.seq = seq;
+  request.key = key;
+  request.value = value;
+  request.epoch = epoch;
+  request.client_id = 91;
+  return request;
+}
+
+// Two servers on one loopback network, instance 0 the primary and
+// instance 1 the secondary of instance 0's partitions, each with two
+// shards. Instance 0's peer calls go through a FaultPlan.
+struct TwoServerChain {
+  explicit TwoServerChain(StoreFactory factory = nullptr) {
+    for (InstanceId self : {0u, 1u}) {
+      ZhtServerOptions options;
+      options.self = self;
+      options.num_shards = 2;
+      options.cluster.num_replicas = 1;
+      options.cluster.peer_timeout = 2 * kNanosPerSec;
+      options.store_factory = factory;
+      servers.push_back(std::make_unique<ZhtServer>(
+          table, options,
+          self == 0 ? static_cast<ClientTransport*>(&faulty) : &plain));
+      network.Register(addresses[self], servers.back()->AsyncHandler());
+    }
+  }
+  ~TwoServerChain() {
+    for (const NodeAddress& address : addresses) network.Unregister(address);
+  }
+
+  const std::vector<NodeAddress> addresses = {NodeAddress{"10.0.0.1", 50000},
+                                              NodeAddress{"10.0.0.2", 50000}};
+  const MembershipTable table = MembershipTable::CreateUniform(16, addresses);
+  LoopbackNetwork network;
+  LoopbackTransport plain{&network};
+  std::shared_ptr<FaultPlan> plan = std::make_shared<FaultPlan>(19);
+  FaultInjectingTransport faulty{std::make_unique<LoopbackTransport>(&network),
+                                 plan};
+  std::vector<std::unique_ptr<ZhtServer>> servers;
+};
+
+// A sync leg still on its way when its partition is streamed to the leg's
+// own target must land before the stream's Begin, not after its End.
+TEST(TransferStreamTest, SyncLegInFlightLandsBeforeTheStreamToItsTarget) {
+  LocalClusterOptions options = TwoInstancesOneReplica();
+  options.cluster.op_timeout = 2 * kNanosPerSec;
+  options.fault_plan = std::make_shared<FaultPlan>(19);
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const MembershipTable table = (*cluster)->TableSnapshot();
+  const std::string key = KeysOfOnePrimaryPartition(table, 1)[0];
+  const PartitionId p = table.PartitionOfKey(key);
+  ZhtServer& primary = *(*cluster)->server(0);
+  auto client = (*cluster)->CreateClient();
+  ASSERT_TRUE(client->Insert(key, "a").ok());
+
+  options.fault_plan->AddRule({.kind = FaultKind::kDelay,
+                               .to = (*cluster)->instance_address(1),
+                               .op = OpCode::kAppend,
+                               .delay = 300 * kNanosPerMilli});
+  std::thread appender([&] { EXPECT_TRUE(client->Append(key, "b").ok()); });
+  // The primary has applied the append; its leg is still delayed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (ValueAt(primary, p, key) != "ab" &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(ValueAt(primary, p, key), "ab");
+  EXPECT_TRUE(
+      primary.MigratePartitionTo(p, (*cluster)->instance_address(1)).ok());
+  appender.join();
+  options.fault_plan->Clear();
+  primary.FlushAsyncReplication();
+  EXPECT_EQ(ValueAt(*(*cluster)->server(1), p, key), "ab");
+}
+
+// The same for a BATCH carrier whose other shard group applies only after
+// the snapshot: the carrier's legs leave once every group has applied, and
+// the stream's Begin must wait for them.
+TEST(TransferStreamTest, BatchLegsHeldByAStalledShardLandBeforeTheStream) {
+  ShardStall stall;
+  TwoServerChain chain(stall.Factory());
+  ZhtServer& primary = *chain.servers[0];
+  const PartitionId p = chain.table.PartitionsOf(0).front();
+  PartitionId other = p;
+  for (PartitionId q : chain.table.PartitionsOf(0)) {
+    if (q % 2 != p % 2) other = q;
+  }
+  ASSERT_NE(other % 2, p % 2);
+  const std::string key = KeyIn(chain.table, p, "bp-");
+  const std::uint32_t epoch = chain.table.epoch();
+  ASSERT_TRUE(
+      primary.Handle(ClientOp(OpCode::kInsert, key, "a", 1, epoch)).ok());
+
+  stall.Hold(primary, other % 2);
+  const std::vector<Request> ops = {
+      ClientOp(OpCode::kAppend, key, "b", 2, epoch),
+      ClientOp(OpCode::kInsert, KeyIn(chain.table, other, "bo-"), "x", 3,
+               epoch)};
+  Request carrier = PackBatchRequest(ops, 4, /*server_origin=*/false);
+  carrier.epoch = epoch;
+  std::promise<Response> acked;
+  primary.HandleAsync(std::move(carrier), [&acked](Response&& resp) {
+    acked.set_value(std::move(resp));
+  });
+  EXPECT_EQ(ValueAt(primary, p, key), "ab");  // p's group has applied
+
+  std::promise<Status> migrated;
+  std::thread migrator([&] {
+    migrated.set_value(primary.MigratePartitionTo(p, chain.addresses[1]));
+  });
+  std::future<Status> migration = migrated.get_future();
+  // The migration waits for the carrier (it cannot finish first), or
+  // streams ahead of the carrier's legs.
+  migration.wait_for(std::chrono::milliseconds(300));
+  stall.Release();
+  migrator.join();
+  EXPECT_TRUE(migration.get().ok());
+  EXPECT_TRUE(acked.get_future().get().ok());
+  primary.FlushAsyncReplication();
+  EXPECT_EQ(ValueAt(*chain.servers[1], p, key), "ab");
+}
+
+// A write applied while a rebuild probes its target diverts its leg onto
+// the lane behind the stream. The snapshot already holds that write, so
+// the leg must leave ahead of Begin, not after End, even when every
+// thread that used to send legs is busy.
+TEST(TransferStreamTest, DivertedLegOfASnapshottedWriteLandsBeforeTheStream) {
+  TwoServerChain chain;
+  ZhtServer& primary = *chain.servers[0];
+  const std::vector<PartitionId> owned = chain.table.PartitionsOf(0);
+  const PartitionId p = owned[0];
+  const std::string key = KeyIn(chain.table, p, "dp-");
+  const std::uint32_t epoch = chain.table.epoch();
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(
+      primary.Handle(ClientOp(OpCode::kInsert, key, "a", ++seq, epoch)).ok());
+  // A pair only the primary holds, so the probe finds the secondary stale.
+  Request stray = ClientOp(OpCode::kInsert, KeyIn(chain.table, p, "ds-"),
+                           "x", ++seq, epoch);
+  stray.server_origin = true;
+  stray.replica_index = 1;
+  ASSERT_TRUE(primary.Handle(std::move(stray)).ok());
+
+  chain.plan->AddRule({.kind = FaultKind::kDelay,
+                       .to = chain.addresses[1],
+                       .op = OpCode::kDigest,
+                       .delay = 300 * kNanosPerMilli});
+  chain.plan->AddRule({.kind = FaultKind::kDelay,
+                       .to = chain.addresses[1],
+                       .op = OpCode::kInsert,
+                       .delay = 600 * kNanosPerMilli});
+  std::promise<Status> rebuilt;
+  primary.StartRebuild(p, [&rebuilt](Status status) {
+    rebuilt.set_value(std::move(status));
+  });
+  // Sync legs to other partitions hold the other threads.
+  std::vector<std::promise<Response>> inserts(2);
+  for (std::size_t i = 0; i < inserts.size(); ++i) {
+    const PartitionId q = owned[1 + i];
+    primary.HandleAsync(
+        ClientOp(OpCode::kInsert, KeyIn(chain.table, q, "dq-"), "y", ++seq,
+                 epoch),
+        [&inserts, i](Response&& resp) { inserts[i].set_value(resp); });
+  }
+  EXPECT_TRUE(
+      primary.Handle(ClientOp(OpCode::kAppend, key, "b", ++seq, epoch)).ok());
+  EXPECT_TRUE(rebuilt.get_future().get().ok());
+  for (auto& insert : inserts) EXPECT_TRUE(insert.get_future().get().ok());
+  chain.plan->Clear();
+  primary.FlushAsyncReplication();
+  EXPECT_EQ(ValueAt(*chain.servers[1], p, key), "ab");
+  EXPECT_EQ(chain.servers[1]->PartitionPairs(p).size(), 2u);
 }
 
 }  // namespace
