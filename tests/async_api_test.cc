@@ -168,6 +168,7 @@ TEST(AsyncApiTest, MigrationMidTrafficAnswersMigratingNotLost) {
   // to target while a writer hammers P through HandleAsync. Every
   // callback must fire, and each op must resolve to Ok (before/after the
   // migration window) or kMigrating (inside it).
+  std::atomic<int> migrating_seen{0};
   LoopbackNetwork network;
   auto source_slot = std::make_shared<AsyncRequestHandler>();
   auto target_slot = std::make_shared<AsyncRequestHandler>();
@@ -177,7 +178,17 @@ TEST(AsyncApiTest, MigrationMidTrafficAnswersMigratingNotLost) {
         (*source_slot)(std::move(req), std::move(done));
       }));
   addresses.push_back(network.Register(
-      [target_slot](Request&& req, ResponseCallback done) {
+      [target_slot, &migrating_seen](Request&& req, ResponseCallback done) {
+        // The target holds the stream's End until a write has been
+        // answered kMigrating (for at most 5 s): on a loaded machine the
+        // writer may otherwise not run at all inside the window.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (req.op == OpCode::kTransferEnd &&
+               migrating_seen.load(std::memory_order_acquire) == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
         (*target_slot)(std::move(req), std::move(done));
       }));
   MembershipTable table =
@@ -221,7 +232,6 @@ TEST(AsyncApiTest, MigrationMidTrafficAnswersMigratingNotLost) {
   std::atomic<bool> stop{false};
   std::atomic<int> completions{0};
   std::atomic<int> dispatched{0};
-  std::atomic<int> migrating_seen{0};
   std::atomic<int> unexpected{0};
   std::thread writer([&] {
     for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
@@ -258,7 +268,8 @@ TEST(AsyncApiTest, MigrationMidTrafficAnswersMigratingNotLost) {
   EXPECT_GT(source.stats().migrations_out, 0u);
   // The window was real: the stream is slow enough that at least one
   // in-flight write observed the partition mid-migration.
-  EXPECT_GT(migrating_seen.load(), 0);
+  EXPECT_GT(migrating_seen.load(), 0)
+      << dispatched.load() << " writes dispatched";
 }
 
 }  // namespace
