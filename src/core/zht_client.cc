@@ -480,9 +480,14 @@ Status ZhtClient::Broadcast(std::string_view key, std::string_view value) {
   request.key.assign(key);
   request.value.assign(value);
   request.epoch = table_.epoch();
-  // Root of the spanning tree is instance 0.
-  auto result = transport_->Call(table_.Instance(0).address, request,
-                                 options_.cluster.op_timeout);
+  // The spanning tree is built over the alive instances and rooted at the
+  // first of them.
+  const std::vector<InstanceId> alive = table_.AliveIds();
+  if (alive.empty()) {
+    return Status(StatusCode::kUnavailable, "no alive instance");
+  }
+  auto result = transport_->Call(table_.Instance(alive.front()).address,
+                                 request, options_.cluster.op_timeout);
   if (!result.ok()) return result.status();
   return result->status_as_object();
 }

@@ -343,34 +343,8 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
   }
   inflight_.fetch_add(1, std::memory_order_acq_rel);
 
-  if (IsDataOp(request.op)) {
-    // Single-key hot path: partition from the immutable space copy, then
-    // one hop into the owning shard's mailbox. No locks anywhere. Cache
-    // hits and sheds answer with the raw `done` before any std::function
-    // wrapper is built — the hit path's only allocation is the value copy.
-    const Nanos start = SystemClock::Instance().Now();
-    Shard& shard = ShardForPartition(space_.PartitionOfKey(request.key));
-    if (request.op == OpCode::kLookup &&
-        TryServeFromCache(shard, request, done, start)) {
-      OnRequestComplete();
-      return;
-    }
-    if (MaybeShed(shard, request, done)) {
-      OnRequestComplete();
-      return;
-    }
-    const std::size_t charge = request.key.size() + request.value.size();
-    shard.inflight_bytes.fetch_add(charge, kRelaxed);
-    Post(shard, [this, request = std::move(request), done = std::move(done),
-                 start, charge](Shard& sh) mutable {
-      sh.inflight_bytes.fetch_sub(charge, kRelaxed);
-      ExecDataOp(sh, std::move(request),
-                 [this, done = std::move(done)](Response&& resp) mutable {
-                   done(std::move(resp));
-                   OnRequestComplete();
-                 },
-                 start);
-    });
+  if (IsDataOp(request.op) || request.op == OpCode::kBatch) {
+    StartDataOps(std::move(request), std::move(done));
     return;
   }
 
@@ -383,9 +357,6 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
   };
 
   switch (request.op) {
-    case OpCode::kBatch:
-      StartBatch(std::move(request), std::move(finish));
-      return;
     case OpCode::kPing: {
       Response resp;
       resp.seq = request.seq;
@@ -532,7 +503,7 @@ Response ZhtServer::RedirectTo(const Shard& shard, InstanceId owner,
 
 ZhtServer::DataRoute ZhtServer::RouteDataOp(Shard& shard,
                                             const Request& request,
-                                            std::atomic<bool>* delta_gate) {
+                                            std::atomic<bool>& delta_gate) {
   DataRoute route;
   route.partition = shard.table.PartitionOfKey(request.key);
   route.epoch = shard.table.epoch();
@@ -565,11 +536,11 @@ ZhtServer::DataRoute ZhtServer::RouteDataOp(Shard& shard,
       route.redirect =
           RedirectTo(shard, route.chain.empty() ? 0 : route.chain[0],
                      request.seq, request.epoch, /*include_membership=*/true);
-      if (delta_gate && !route.redirect->membership.empty()) {
-        // A batch piggybacks the delta once, on its first redirected
-        // sub-op; shard groups race for the claim and losers strip it.
+      if (!route.redirect->membership.empty()) {
+        // A request piggybacks the delta once, on its first redirected
+        // op; shard groups race for the claim and losers strip it.
         bool expected = false;
-        if (!delta_gate->compare_exchange_strong(
+        if (!delta_gate.compare_exchange_strong(
                 expected, true, std::memory_order_acq_rel)) {
           route.redirect->membership.clear();
         }
@@ -653,12 +624,12 @@ Status ZhtServer::ApplyToStore(Shard& shard, OpCode op, PartitionId partition,
   }
 }
 
-std::optional<ZhtServer::ReplicaPlan> ZhtServer::MakeReplicaPlan(
+std::vector<ZhtServer::ReplicaLeg> ZhtServer::PlanReplicaLegs(
     const Shard& shard, const Request& request, const DataRoute& route,
     LegGroups* lane) const {
   if (options_.cluster.num_replicas == 0 || request.server_origin ||
       route.chain.size() < 2) {
-    return std::nullopt;
+    return {};
   }
   // A failover write the client placed on a secondary (replica_index > 0,
   // past members its detector marked dead) must still fan out to every
@@ -673,15 +644,14 @@ std::optional<ZhtServer::ReplicaPlan> ZhtServer::MakeReplicaPlan(
   std::size_t sync_end = 2;
   if (request.replica_index != 0) {
     auto self_it = std::find(chain.begin(), chain.end(), options_.self);
-    if (self_it == chain.end()) return std::nullopt;
+    if (self_it == chain.end()) return {};
     std::rotate(chain.begin(), self_it, chain.end());
     sync_end = chain.size();
   }
   // Members with an in-flight rebuild stream take their legs through the
   // lane, behind the stream.
   auto rebuild = shard.rebuild_out.find(route.partition);
-  ReplicaPlan plan;
-  plan.partition = route.partition;
+  std::vector<ReplicaLeg> sync;
   for (std::size_t r = 1; r < chain.size(); ++r) {
     const InstanceId id = chain[r];
     const bool diverted =
@@ -696,29 +666,24 @@ std::optional<ZhtServer::ReplicaPlan> ZhtServer::MakeReplicaPlan(
                        : NodeAddress{},
                    static_cast<std::uint8_t>(r)};
     if (r < sync_end && !diverted) {
-      plan.sync.push_back(std::move(leg));
+      sync.push_back(std::move(leg));
     } else {
       AddLeg(request, route.partition, leg, lane);
     }
   }
   replication_fanout_hist_->Record(static_cast<std::int64_t>(chain.size()) - 1);
-  if (plan.sync.empty()) return std::nullopt;
-  return plan;
+  return sync;
 }
 
-ZhtServer::AppliedOp ZhtServer::ApplyDataOp(Shard& shard,
-                                            const Request& request,
-                                            std::atomic<bool>* delta_gate,
-                                            LegGroups* lane) {
-  AppliedOp out;
+void ZhtServer::ApplyDataOp(Shard& shard, DataOp& op,
+                            std::atomic<bool>& delta_gate, LegGroups* lane) {
+  const Request& request = op.request;
   DataRoute route = RouteDataOp(shard, request, delta_gate);
-  out.partition = route.partition;
   if (route.redirect) {
-    out.resp = std::move(*route.redirect);
-    return out;
+    op.resp = std::move(*route.redirect);
+    return;
   }
-  const OpCode op = request.op;
-  Response& resp = out.resp;
+  Response& resp = op.resp;
   resp.seq = request.seq;
   resp.epoch = route.epoch;
   if (shard.migrating.count(route.partition) ||
@@ -729,41 +694,32 @@ ZhtServer::AppliedOp ZhtServer::ApplyDataOp(Shard& shard,
     // paper's request queueing at the sender. Rejecting reads too keeps a
     // rebuilding replica from serving half-streamed state.
     resp.status = Status(StatusCode::kMigrating).raw();
-    return out;
+    return;
   }
-  if (op == OpCode::kAppend && IsDuplicateAppend(shard, request)) {
+  if (request.op == OpCode::kAppend && IsDuplicateAppend(shard, request)) {
     // Retransmission of an append we already applied: acknowledge success
     // without re-applying, once the store is durable — its token covers
     // the original, which may still be waiting for its group commit.
     counters_.duplicate_appends_dropped->Increment();
-    out.durable_wait = true;
-    return out;
+    op.durable_wait = true;
+    return;
   }
-  if (delta_gate && op == OpCode::kLookup && !request.server_origin &&
-      CacheLookup(shard, request.key, &resp.value)) {
-    // A BATCH sub-op probes the cache here (the scatter loop cannot know
-    // each sub-op's shard cheaply; a single-key lookup probed at ingress),
-    // and a hit still skips the store lookup.
-    counters_.ops->Increment();
-    return out;
-  }
-  Status status = ApplyToStore(shard, op, route.partition, request.key,
-                               request.value, &resp.value);
+  Status status = ApplyToStore(shard, request.op, route.partition,
+                               request.key, request.value, &resp.value);
   counters_.ops->Increment();
   resp.status = status.raw();
-  if (op == OpCode::kLookup) {
+  if (request.op == OpCode::kLookup) {
     // Fill in-shard, where this partition's store is ordered: the control
     // flow above guarantees it is owned and not mid-migration/rebuild.
     if (status.ok()) CacheFill(shard, route.partition, request.key, resp.value);
-    return out;
+    return;
   }
   // Synchronous invalidation before the ack can leave this drain: a later
   // probe can never observe the pre-mutation value (DESIGN.md §13).
   CacheInvalidate(shard, request.key);
-  if (!status.ok()) return out;
-  out.durable_wait = true;
-  out.plan = MakeReplicaPlan(shard, request, route, lane);
-  return out;
+  if (!status.ok()) return;
+  op.durable_wait = true;
+  op.sync_legs = PlanReplicaLegs(shard, request, route, lane);
 }
 
 ZhtServer::CommitPoint ZhtServer::CommitPointOf(const Shard& shard,
@@ -775,274 +731,218 @@ ZhtServer::CommitPoint ZhtServer::CommitPointOf(const Shard& shard,
   return {it->second.get(), it->second->last_commit_token()};
 }
 
-void ZhtServer::ExecDataOp(Shard& shard, Request&& request,
-                           ResponseCallback done, Nanos start) {
-  const OpCode op = request.op;
-  LegGroups lane;
-  AppliedOp applied = ApplyDataOp(shard, request, nullptr, &lane);
-  QueueLaneLegs(lane);
-  const CommitPoint commit = applied.durable_wait
-                                 ? CommitPointOf(shard, applied.partition)
-                                 : CommitPoint{};
-  if (commit.token == 0 && !applied.plan) {
-    // Hot path: routed, applied, and acked on the owning shard — zero
-    // mutexes end to end.
-    done(std::move(applied.resp));
-    RecordDataOpLatency(op, start);
-    return;
-  }
-
-  if (!applied.plan) {
-    // Ack parks on the log's flusher; no thread blocks for the group
-    // commit. Concurrent writers join the same commit window.
-    commit.store->NotifyDurable(
-        commit.token, [this, resp = std::move(applied.resp), op, start,
-                       done = std::move(done)](Status durable) mutable {
-          if (!durable.ok()) resp.status = durable.raw();
-          done(std::move(resp));
-          RecordDataOpLatency(op, start);
-        });
-    return;
-  }
-
-  // A synchronous hop to the secondary keeps primary+secondary strongly
-  // consistent; it is peer I/O, so it runs on a pool thread (its ticket
-  // taken here, in-shard), never inside a shard drain or a flusher
-  // callback. On a durable store the leg starts now, beside the group
-  // commit, and the ack waits for both. A failed local sync still fails the
-  // op, even if its leg has landed: the op was never acked, so it stays
-  // ambiguous to the client.
-  auto join = std::make_shared<AckJoin>();
-  join->resp = std::move(applied.resp);
-  join->done = std::move(done);
-  join->op = op;
-  join->start = start;
-  join->pending.store(commit.token != 0 ? 2 : 1, kRelaxed);
-  EnqueueFinisher([this, join, request = std::move(request),
-                   plan = std::move(*applied.plan)] {
-    SendReplicaLegs({&request, 1}, {&plan, 1});
-    FinishAckJoin(*join);
-  });
-  if (commit.token != 0) {
-    commit.store->NotifyDurable(commit.token, [this, join](Status durable) {
-      if (!durable.ok()) join->resp.status = durable.raw();
-      FinishAckJoin(*join);
-    });
-  }
-}
-
-void ZhtServer::FinishAckJoin(AckJoin& join) {
-  if (join.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  join.done(std::move(join.resp));
-  RecordDataOpLatency(join.op, join.start);
-}
-
 // ---------------------------------------------------------------------------
-// BATCH: scatter per-shard groups, gather with completion counting
+// Data ops: a single-key request is a one-op group of the same scatter/
+// gather that serves a BATCH carrier, with completion counting
 // ---------------------------------------------------------------------------
 
-void ZhtServer::StartBatch(Request&& request, ResponseCallback done) {
+void ZhtServer::StartDataOps(Request&& request, ResponseCallback done) {
   const Nanos start = SystemClock::Instance().Now();
-  Response carrier;
-  carrier.seq = request.seq;
-  auto batch = BatchRequest::Decode(request.value);
-  if (!batch.ok()) {
-    carrier.status = batch.status().raw();
-    done(std::move(carrier));
-    return;
-  }
-  batch_size_hist_->Record(static_cast<std::int64_t>(batch->ops.size()));
-
-  auto gather = std::make_shared<BatchGather>();
-  gather->seq = request.seq;
-  gather->epoch = epoch_.load(kRelaxed);
-  gather->start = start;
-  gather->ops = std::move(batch->ops);
-  const std::size_t n = gather->ops.size();
-  gather->responses.resize(n);
-  gather->partitions.assign(n, 0);
-  gather->plans.resize(n);
-  gather->done = std::move(done);
-
-  // Scatter: group sub-op indices by owning shard; each group lands in its
-  // shard's mailbox and fills disjoint response slots.
-  std::vector<std::vector<std::size_t>> groups(shards_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Request& op = gather->ops[i];
-    if (IsDataOp(op.op)) {
-      const PartitionId partition = space_.PartitionOfKey(op.key);
-      gather->partitions[i] = partition;
-      groups[partition % shards_.size()].push_back(i);
-    } else {
-      // Batches carry data operations only; nested batches and control
-      // messages are rejected per sub-op, not per batch.
-      Response sub;
-      sub.seq = op.seq;
-      sub.status = Status(StatusCode::kInvalidArgument).raw();
-      gather->responses[i] = std::move(sub);
+  const std::uint64_t seq = request.seq;
+  const bool server_origin = request.server_origin;
+  std::shared_ptr<DataGather> gather;
+  if (request.op != OpCode::kBatch) {
+    // Partition from the immutable space copy; a lookup the cache holds
+    // answers here, before anything is allocated.
+    const PartitionId partition = space_.PartitionOfKey(request.key);
+    Shard& shard = ShardForPartition(partition);
+    Response hit;
+    if (CacheHit(shard, request, &hit)) {
+      done(std::move(hit));
+      RecordDataOpLatency(OpCode::kLookup, start);
+      OnRequestComplete();
+      return;
     }
-  }
-  std::size_t active_groups = 0;
-  for (const auto& indices : groups) {
-    if (!indices.empty()) ++active_groups;
-  }
-  if (active_groups == 0) {
-    gather->remaining.store(1, kRelaxed);
-    CompleteBatchGroup(gather);
-    return;
-  }
-  gather->remaining.store(active_groups, kRelaxed);
-  gather->applying.store(active_groups, kRelaxed);
-  const bool server_batch = request.server_origin;
-  // The carrier's sync-leg ticket is taken before any group applies, so a
-  // transfer that snapshots one of its writes waits for its legs.
-  if (!server_batch && options_.cluster.num_replicas > 0) {
-    gather->ticket = ReserveTicket();
-  }
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    if (groups[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    if (!server_batch) {
-      // Admission control applies per shard group: an overloaded shard
-      // sheds its slice of the batch while the others proceed.
-      const std::uint32_t hint = AdmissionRetryHint(shard);
-      if (hint != 0) {
-        for (std::size_t i : groups[s]) {
-          Response sub;
-          sub.seq = gather->ops[i].seq;
-          sub.epoch = gather->epoch;
-          sub.status =
-              Status(StatusCode::kUnavailable, "shard over admission budget")
-                  .raw();
-          sub.retry_after_us = hint;
-          gather->responses[i] = std::move(sub);
-        }
-        counters_.sheds->Increment(groups[s].size());
-        BatchGroupApplied(gather);
-        CompleteBatchGroup(gather);
+    gather = std::make_shared<DataGather>();
+    gather->ops = {&gather->single, 1};
+    gather->single.request = std::move(request);
+    gather->single.partition = partition;
+    gather->single.shard = static_cast<std::uint32_t>(shard.index);
+  } else {
+    auto batch = BatchRequest::Decode(request.value);
+    if (!batch.ok()) {
+      Response carrier;
+      carrier.seq = seq;
+      carrier.status = batch.status().raw();
+      done(std::move(carrier));
+      OnRequestComplete();
+      return;
+    }
+    batch_size_hist_->Record(static_cast<std::int64_t>(batch->ops.size()));
+    gather = std::make_shared<DataGather>();
+    gather->batch = true;
+    gather->sub_ops.resize(batch->ops.size());
+    gather->ops = gather->sub_ops;
+    for (std::size_t i = 0; i < batch->ops.size(); ++i) {
+      DataOp& op = gather->ops[i];
+      op.request = std::move(batch->ops[i]);
+      if (!IsDataOp(op.request.op)) {
+        // Batches carry data operations only; nested batches and control
+        // messages are rejected per sub-op, not per batch.
+        op.resp.seq = op.request.seq;
+        op.resp.status = Status(StatusCode::kInvalidArgument).raw();
         continue;
       }
+      op.partition = space_.PartitionOfKey(op.request.key);
+      Shard& shard = ShardForPartition(op.partition);
+      if (!CacheHit(shard, op.request, &op.resp)) {
+        op.shard = static_cast<std::uint32_t>(shard.index);
+      }
     }
+  }
+  gather->seq = seq;
+  gather->epoch = epoch_.load(kRelaxed);
+  gather->start = start;
+  gather->done = std::move(done);
+
+  // Admission control applies per shard group: an overloaded shard sheds
+  // its slice while the others proceed. Server-origin traffic (replica
+  // legs, transfer streams) is never shed: dropping it would trade
+  // overload for inconsistency.
+  std::size_t groups = 0;
+  bool client_write = false;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::uint32_t hint = 0;
+    bool seen = false;
+    for (DataOp& op : gather->ops) {
+      if (op.shard != s) continue;
+      if (!seen) {
+        seen = true;
+        if (!server_origin) hint = AdmissionRetryHint(*shards_[s]);
+        if (hint == 0) ++groups;
+      }
+      if (hint != 0) {
+        op.shard = kAnswered;
+        op.resp.seq = op.request.seq;
+        op.resp.epoch = gather->epoch;
+        op.resp.status = Status(StatusCode::kUnavailable).raw();
+        op.resp.retry_after_us = hint;
+        counters_.sheds->Increment();
+      } else if (!op.request.server_origin &&
+                 op.request.op != OpCode::kLookup) {
+        client_write = true;
+      }
+    }
+  }
+  if (groups == 0) {
+    FinalizeDataOps(*gather);
+    return;
+  }
+  gather->applying.store(groups, kRelaxed);
+  gather->remaining.store(groups, kRelaxed);
+  // A client write's sync-leg ticket is taken before any group applies, so
+  // a transfer that snapshots the write waits for its legs. A request
+  // without one never takes the pool's mutex.
+  if (client_write && options_.cluster.num_replicas > 0) {
+    gather->ticket = ReserveTicket();
+  }
+  // One post per group; a group touches only its own ops, and the last
+  // post may finish the request, so the loop stops there.
+  for (std::size_t s = 0; groups > 0; ++s) {
     std::size_t charge = 0;
-    for (std::size_t i : groups[s]) {
-      charge += gather->ops[i].key.size() + gather->ops[i].value.size();
+    bool seen = false;
+    for (const DataOp& op : gather->ops) {
+      if (op.shard != s) continue;
+      seen = true;
+      charge += op.request.key.size() + op.request.value.size();
     }
+    if (!seen) continue;
+    --groups;
+    Shard& shard = *shards_[s];
     shard.inflight_bytes.fetch_add(charge, kRelaxed);
-    Post(shard, [this, gather, indices = std::move(groups[s]),
-                 charge](Shard& sh) mutable {
+    Post(shard, [this, gather, charge](Shard& sh) {
       sh.inflight_bytes.fetch_sub(charge, kRelaxed);
-      ExecBatchGroup(sh, gather, std::move(indices));
+      ExecDataGroup(sh, gather);
     });
   }
 }
 
-void ZhtServer::ExecBatchGroup(Shard& shard,
-                               const std::shared_ptr<BatchGather>& gather,
-                               std::vector<std::size_t> indices) {
-  // Sub-ops whose ack waits for their store's durability.
-  std::vector<std::size_t> mutations;
+void ZhtServer::ExecDataGroup(Shard& shard,
+                              const std::shared_ptr<DataGather>& gather) {
+  const std::span<DataOp> ops = gather->ops;
   LegGroups lane;
-  for (std::size_t i : indices) {
-    AppliedOp applied =
-        ApplyDataOp(shard, gather->ops[i], &gather->delta_sent, &lane);
-    gather->partitions[i] = applied.partition;
-    gather->responses[i] = std::move(applied.resp);
-    gather->plans[i] = std::move(applied.plan);
-    if (applied.durable_wait) mutations.push_back(i);
+  for (DataOp& op : ops) {
+    if (op.shard == shard.index) {
+      ApplyDataOp(shard, op, gather->delta_sent, &lane);
+    }
   }
   QueueLaneLegs(lane);  // one message per target, from this drain
-  BatchGroupApplied(gather);
+  DataGroupApplied(gather);
 
   // Durable ack, once per touched store: tokens are captured after every
-  // sub-op applied (monotone, so the latest covers them all), and one
-  // NotifyDurable per store parks on its log's flusher. The last callback
-  // fixes any failed partitions' sub-ops and reports the group done.
-  std::vector<std::pair<PartitionId, CommitPoint>> touched;
-  std::unordered_set<PartitionId> seen;
-  for (std::size_t i : mutations) {
-    const PartitionId partition = gather->partitions[i];
-    if (!seen.insert(partition).second) continue;
-    const CommitPoint commit = CommitPointOf(shard, partition);
-    if (commit.token != 0) touched.emplace_back(partition, commit);
-  }
-  if (touched.empty()) {
-    CompleteBatchGroup(gather);
-    return;
-  }
-
-  struct GroupDurable {
-    std::vector<std::size_t> mutations;
-    std::vector<std::pair<PartitionId, Status>> results;
-    std::atomic<std::size_t> pending{0};
-  };
-  auto group = std::make_shared<GroupDurable>();
-  group->mutations = std::move(mutations);
-  group->results.resize(touched.size());
-  group->pending.store(touched.size(), kRelaxed);
-  for (std::size_t j = 0; j < touched.size(); ++j) {
-    const auto& [partition, commit] = touched[j];
+  // op of the group applied (monotone, so the latest covers them all), and
+  // one NotifyDurable per store parks on its log's flusher. An op's
+  // partition names its shard, so matching on it stays inside this group.
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const DataOp& op = ops[i];
+    if (op.shard != shard.index || !op.durable_wait) continue;
+    const bool seen = std::any_of(
+        ops.begin(), ops.begin() + i, [&op](const DataOp& earlier) {
+          return earlier.partition == op.partition && earlier.durable_wait;
+        });
+    if (seen) continue;
+    const CommitPoint commit = CommitPointOf(shard, op.partition);
+    if (commit.token == 0) continue;
+    gather->remaining.fetch_add(1, kRelaxed);
     commit.store->NotifyDurable(
-        commit.token, [this, gather, group, j, partition](Status status) {
-          group->results[j] = {partition, status};
-          if (group->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-            return;
-          }
-          std::unordered_set<PartitionId> failed;
-          for (const auto& [p, st] : group->results) {
-            if (!st.ok()) failed.insert(p);
-          }
-          // Sub-ops on a store that failed to sync were never durable:
-          // fail them, whether or not their legs have landed.
-          for (std::size_t i : group->mutations) {
-            if (failed.count(gather->partitions[i])) {
-              gather->responses[i].status =
-                  Status(StatusCode::kInternal).raw();
+        commit.token,
+        [this, gather, partition = op.partition](Status durable) {
+          if (!durable.ok()) {
+            // Ops on a store that failed to sync were never durable: fail
+            // them, whether or not their legs have landed.
+            for (DataOp& failed : gather->ops) {
+              if (failed.partition == partition && failed.durable_wait) {
+                failed.resp.status = Status(StatusCode::kInternal).raw();
+              }
             }
           }
-          CompleteBatchGroup(gather);
+          CompleteDataOps(gather);
         });
   }
+  CompleteDataOps(gather);  // this group's own count
 }
 
-void ZhtServer::BatchGroupApplied(const std::shared_ptr<BatchGather>& gather) {
+void ZhtServer::DataGroupApplied(const std::shared_ptr<DataGather>& gather) {
   if (gather->applying.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  // Every group has applied: the carrier's sync legs start now, beside the
-  // groups' commits, on one finisher that coalesces them per target. They
-  // hold one gather count; the caller's group still holds its own, so the
+  // Every group has applied: the sync legs start now, beside the groups'
+  // commits, on one pool job that coalesces them per target. The job holds
+  // one gather count; the caller's group still holds its own, so the
   // gather cannot finish before the increment.
-  std::vector<Request> ops;
-  std::vector<ReplicaPlan> plans;
-  for (std::size_t i = 0; i < gather->ops.size(); ++i) {
-    if (!gather->plans[i]) continue;
-    ops.push_back(std::move(gather->ops[i]));
-    plans.push_back(std::move(*gather->plans[i]));
-  }
-  if (ops.empty()) {
+  const bool legs =
+      std::any_of(gather->ops.begin(), gather->ops.end(),
+                  [](const DataOp& op) { return !op.sync_legs.empty(); });
+  if (!legs) {
     ReleaseTicket(gather->ticket);
     return;
   }
   gather->remaining.fetch_add(1, kRelaxed);
   EnqueueFinisher(
-      [this, gather, ops = std::move(ops), plans = std::move(plans)] {
-        SendReplicaLegs(ops, plans);
-        CompleteBatchGroup(gather);
+      [this, gather] {
+        SendReplicaLegs(gather->ops);
+        CompleteDataOps(gather);
       },
       gather->ticket);
 }
 
-void ZhtServer::CompleteBatchGroup(
-    const std::shared_ptr<BatchGather>& gather) {
+void ZhtServer::CompleteDataOps(const std::shared_ptr<DataGather>& gather) {
   if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    FinalizeBatch(gather);
+    FinalizeDataOps(*gather);
   }
 }
 
-void ZhtServer::FinalizeBatch(const std::shared_ptr<BatchGather>& gather) {
-  BatchResponse out;
-  out.responses = std::move(gather->responses);
-  Response packed = PackBatchResponse(out, gather->seq, gather->epoch);
-  batch_hist_->Record(SystemClock::Instance().Now() - gather->start);
-  gather->done(std::move(packed));
+void ZhtServer::FinalizeDataOps(DataGather& gather) {
+  if (gather.batch) {
+    BatchResponse out;
+    out.responses.reserve(gather.ops.size());
+    for (DataOp& op : gather.ops) out.responses.push_back(std::move(op.resp));
+    Response packed = PackBatchResponse(out, gather.seq, gather.epoch);
+    batch_hist_->Record(SystemClock::Instance().Now() - gather.start);
+    gather.done(std::move(packed));
+  } else {
+    gather.done(std::move(gather.single.resp));
+    RecordDataOpLatency(gather.single.request.op, gather.start);
+  }
+  OnRequestComplete();
 }
 
 // ---------------------------------------------------------------------------
@@ -1619,23 +1519,27 @@ std::vector<std::pair<std::string, std::string>> ZhtServer::PartitionPairs(
 void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
                               ResponseCallback done) {
   const PartitionId partition = shard.table.PartitionOfKey(request.key);
-  const std::size_t count = shard.table.instance_count();
-  const std::size_t self_index = options_.self;
-
   KVStore* store = StoreIn(shard, partition);
   Status put = store ? store->Put(request.key, request.value)
                      : Status(StatusCode::kInternal, "store factory failed");
   counters_.broadcasts->Increment();
 
-  // Binary spanning tree over instance ids (§VI "Broadcast primitive"):
-  // node i forwards to 2i+1 and 2i+2. Children's addresses resolve here,
-  // in-shard.
+  // Binary spanning tree over the alive instances (§VI "Broadcast
+  // primitive"), by position in AliveIds(): position i forwards to 2i+1
+  // and 2i+2, so a dead instance cuts off no subtree. An instance outside
+  // the alive set hands the broadcast to position 0, the tree's root.
+  // Children's addresses resolve here, in-shard.
+  const std::vector<InstanceId> alive = shard.table.AliveIds();
+  const auto self_it = std::find(alive.begin(), alive.end(), options_.self);
+  std::vector<std::size_t> positions = {0};
+  if (self_it != alive.end()) {
+    const std::size_t i = static_cast<std::size_t>(self_it - alive.begin());
+    positions = {2 * i + 1, 2 * i + 2};
+  }
   std::vector<NodeAddress> children;
-  for (std::size_t child : {2 * self_index + 1, 2 * self_index + 2}) {
-    if (child >= count) continue;
-    if (child < shard.table.instance_count()) {
-      children.push_back(
-          shard.table.Instance(static_cast<InstanceId>(child)).address);
+  for (std::size_t position : positions) {
+    if (position < alive.size()) {
+      children.push_back(shard.table.Instance(alive[position]).address);
     }
   }
 
@@ -1672,14 +1576,13 @@ void ZhtServer::AddLeg(const Request& op, PartitionId partition,
   leg.replica_index = target.replica_index;
 }
 
-void ZhtServer::SendReplicaLegs(std::span<const Request> ops,
-                                std::span<const ReplicaPlan> plans) {
+void ZhtServer::SendReplicaLegs(std::span<const DataOp> ops) {
   // The sync legs of each target go out as one CallBatch — one plain Call
   // for a single leg — before the op (or the carrier) acks.
   LegGroups groups;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    for (const ReplicaLeg& target : plans[i].sync) {
-      AddLeg(ops[i], plans[i].partition, target, &groups);
+  for (const DataOp& op : ops) {
+    for (const ReplicaLeg& target : op.sync_legs) {
+      AddLeg(op.request, op.partition, target, &groups);
     }
   }
   for (auto& [target_id, group] : groups) {
@@ -1974,31 +1877,24 @@ std::uint64_t ZhtServer::HotCacheEntriesNow() const {
 // Hot-key cache + admission control (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-bool ZhtServer::CacheLookup(Shard& shard, std::string_view key,
-                            std::string* value) {
-  if (!shard.hot_cache.enabled()) return false;
-  if (shard.hot_cache.TryGet(key, value)) {
-    counters_.hot_cache_hits->Increment();
-    return true;
+bool ZhtServer::CacheHit(Shard& shard, const Request& request,
+                         Response* resp) {
+  // A hit skips the mailbox hop, the routing pass and the store lookup.
+  // Safe from any thread — the cache only holds entries for partitions
+  // this instance owns and has quiesced (see the staleness contract in
+  // hot_key_cache.h).
+  if (request.op != OpCode::kLookup || request.server_origin ||
+      !shard.hot_cache.enabled()) {
+    return false;
   }
-  counters_.hot_cache_misses->Increment();
-  return false;
-}
-
-bool ZhtServer::TryServeFromCache(Shard& shard, const Request& request,
-                                  const ResponseCallback& done, Nanos start) {
-  // Ingress fast path: a hit skips the mailbox hop, the routing pass, and
-  // the store lookup entirely. Safe from any thread — the cache only holds
-  // entries for partitions this instance owns and has quiesced (see the
-  // staleness contract in hot_key_cache.h).
-  if (!shard.hot_cache.enabled() || request.server_origin) return false;
-  Response resp;
-  resp.seq = request.seq;
-  resp.epoch = epoch_.load(kRelaxed);
-  if (!CacheLookup(shard, request.key, &resp.value)) return false;
+  if (!shard.hot_cache.TryGet(request.key, &resp->value)) {
+    counters_.hot_cache_misses->Increment();
+    return false;
+  }
+  counters_.hot_cache_hits->Increment();
   counters_.ops->Increment();
-  done(std::move(resp));
-  RecordDataOpLatency(OpCode::kLookup, start);
+  resp->seq = request.seq;
+  resp->epoch = epoch_.load(kRelaxed);
   return true;
 }
 
@@ -2017,24 +1913,6 @@ std::uint32_t ZhtServer::AdmissionRetryHint(Shard& shard) const {
   constexpr std::uint64_t kBaseUs = 1000;
   constexpr std::uint64_t kCapUs = 64000;
   return static_cast<std::uint32_t>(std::min(kCapUs, kBaseUs * over));
-}
-
-bool ZhtServer::MaybeShed(Shard& shard, const Request& request,
-                          const ResponseCallback& done) {
-  // Server-origin traffic (replication legs, migration/rebuild streams)
-  // is never shed: dropping it would trade overload for inconsistency.
-  if (request.server_origin) return false;
-  const std::uint32_t hint = AdmissionRetryHint(shard);
-  if (hint == 0) return false;
-  counters_.sheds->Increment();
-  Response resp;
-  resp.seq = request.seq;
-  resp.epoch = epoch_.load(kRelaxed);
-  resp.status =
-      Status(StatusCode::kUnavailable, "shard over admission budget").raw();
-  resp.retry_after_us = hint;
-  done(std::move(resp));
-  return true;
 }
 
 void ZhtServer::CacheFill(Shard& shard, PartitionId partition,

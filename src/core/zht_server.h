@@ -22,16 +22,19 @@
 // reactor `PreferredShard(first request) % num_reactors`
 // (LocalCluster::WireReactors).
 //
-// Cross-partition operations are explicit scatter/gather messages with
-// completion counting: a BATCH spanning owners scatters per-shard groups
-// and whichever finishes last — a group's durability callback or the
-// carrier's replication legs, which the last group to apply sends —
-// finalizes the carrier; a membership push
-// applies on shard 0 (the epoch authority) then fans the payload to every
-// other shard before acking. Durability acks park on the log's flusher via
-// KVStore::NotifyDurable — no thread blocks in the server for a group
-// commit. A replicated write starts its synchronous leg when it applies,
-// beside its group commit, and acks once both are done. Peer I/O runs on
+// Every data request is one scatter/gather with completion counting, and a
+// single-key request is a group of one: ingress answers what needs no
+// shard (a client lookup the hot-key cache holds, a shard group over its
+// admission budget, a non-data BATCH sub-op), then posts one group per
+// owning shard. Each group applies its ops in one drain. Whichever
+// finishes last — a group, a touched store's durability callback, or the
+// sync-leg job the last group to apply starts — answers: the lone response
+// or the packed carrier. A group with nothing to wait for acks inside its
+// drain. A membership push applies on shard 0 (the epoch authority), then
+// fans the payload to every other shard before acking. Durability acks
+// park on the log's flusher via KVStore::NotifyDurable — no thread blocks
+// in the server for a group commit. A replicated write's synchronous leg
+// starts when its group applies, beside its group commit. Peer I/O runs on
 // one thread pool, never in a shard drain: sync legs and digest probes as
 // jobs, background legs and partition transfers on the ordered lane, which
 // is queued only from shard drains and holds a transfer's Begin until the
@@ -90,8 +93,9 @@ using StoreFactory = std::function<std::unique_ptr<KVStore>(
 // that close. One factory per `dir`: a second one would open a second
 // writer on the same logs. The stores defer the group-commit wait
 // (wait_for_durable = false): ZhtServer acks each request — or each BATCH
-// carrier — exactly once, from the flusher's NotifyDurable callback, after
-// its mutations are durable.
+// carrier — exactly once, after its mutations are durable: from the
+// flusher's NotifyDurable callback, or from the sync-leg job if that
+// finishes last.
 StoreFactory MakeNoVoHTStoreFactory(std::string dir,
                                     const ClusterOptions& cluster);
 
@@ -384,26 +388,28 @@ class ZhtServer {
     NodeAddress address;
     std::uint8_t replica_index = 0;
   };
-
-  // The sync legs an applied client mutation owes its replica chain, sent
-  // by a pool job before the ack.
-  struct ReplicaPlan {
-    PartitionId partition = 0;
-    std::vector<ReplicaLeg> sync;
-  };
   using LegGroups =  // per target: its address and one leg request per op
       std::unordered_map<InstanceId,
                          std::pair<NodeAddress, std::vector<Request>>>;
 
-  // What ApplyDataOp did with one data op: its response, the partition it
-  // routed to, whether the ack waits for that store's durability (an
-  // applied mutation, or a retransmitted append whose original may still
-  // be in its group commit), and the replication legs still to send.
-  struct AppliedOp {
+  // DataOp::shard of an op answered at ingress, which no shard group runs.
+  static constexpr std::uint32_t kAnswered = ~std::uint32_t{0};
+
+  // One data op of a request (a single-key request holds one, a BATCH
+  // carrier one per sub-op) and what became of it. Ingress sets the
+  // request, partition and shard, which stay fixed from then on; the shard
+  // group that applies the op writes the rest.
+  struct DataOp {
+    Request request;
     Response resp;
     PartitionId partition = 0;
+    std::uint32_t shard = kAnswered;  // the owning shard's index
+    // The ack waits for the store's durability: an applied mutation, or a
+    // retransmitted append whose original may still be in its group commit.
     bool durable_wait = false;
-    std::optional<ReplicaPlan> plan;
+    // Sync legs an applied client mutation owes its replica chain, sent by
+    // one pool job before the ack.
+    std::vector<ReplicaLeg> sync_legs;
   };
 
   // A store and its commit token, which covers every mutation applied to
@@ -414,38 +420,23 @@ class ZhtServer {
     std::uint64_t token = 0;
   };
 
-  // Scatter/gather state for a BATCH spanning shard owners. Each shard
-  // group fills its own disjoint response and plan slots and queues its
-  // lane legs; the last group to finish applying sends the carrier's sync
-  // replication legs, and whichever finishes last — a group's durability
-  // wait or those legs — finalizes the carrier.
-  struct BatchGather {
+  // Scatter/gather state of one data request: one group per owning shard
+  // applies its ops. Counted down by each group as it finishes, by each
+  // touched store's durability callback and by the sync-leg job, which the
+  // last group to apply starts; the last count finalizes the request.
+  struct DataGather {
     std::uint64_t seq = 0;
-    std::uint64_t ticket = 0;  // the sync-leg job's, reserved at scatter
+    std::uint64_t ticket = 0;  // the sync-leg job's, reserved at ingress
     std::uint32_t epoch = 0;
     Nanos start = 0;
-    std::vector<Request> ops;
-    std::vector<Response> responses;
-    std::vector<PartitionId> partitions;
-    std::vector<std::optional<ReplicaPlan>> plans;  // sub-ops with a leg
-    std::atomic<bool> delta_sent{false};  // one membership delta per batch
+    bool batch = false;       // answer with a packed carrier
+    DataOp single;            // a single-key request's op
+    std::vector<DataOp> sub_ops;  // a BATCH carrier's, in carrier order
+    std::span<DataOp> ops;    // whichever of the two the request uses
+    std::atomic<bool> delta_sent{false};  // one membership delta per request
     std::atomic<std::size_t> applying{0};  // shard groups still applying
-    // Shard groups still waiting for durability, plus the carrier's
-    // replication legs while they are in flight.
     std::atomic<std::size_t> remaining{0};
     ResponseCallback done;
-  };
-
-  // Ack of a replicated single-key mutation: the sync replication leg and,
-  // on a durable store, the group commit run at once, and whichever
-  // finishes last sends the response. `pending` starts at 2 on a durable
-  // store and 1 otherwise; the durability callback alone writes `resp`.
-  struct AckJoin {
-    Response resp;
-    ResponseCallback done;
-    OpCode op = OpCode::kInsert;
-    Nanos start = 0;
-    std::atomic<int> pending{0};
   };
 
   // Gather state for a membership push fanned out to every shard.
@@ -479,21 +470,28 @@ class ZhtServer {
   std::size_t Drain(Shard& shard);
   std::size_t DrainAll(Shard& shard);
 
-  // --- request execution (inside shard drains unless noted) ---
-  // A single-key data op: ApplyDataOp, then the ack — inline, after the
-  // group commit, or after both the commit and the replica legs (AckJoin).
-  void ExecDataOp(Shard& shard, Request&& request, ResponseCallback done,
-                  Nanos start);
-  // The one in-shard step of every data op, single-key or BATCH sub-op:
-  // routing and the redirect, the migrating/rebuilding guard, append dedup,
-  // the store call, cache upkeep and the replica plan. `delta_gate` is the
-  // BATCH's one-delta claim; it is null for a single-key op, which probed
-  // the hot-key cache at ingress, while a BATCH lookup probes it here.
+  // --- data ops: one path for single-key requests and BATCH carriers ---
+  // Ingress, any thread: answers what needs no shard (a non-data sub-op, a
+  // client lookup the hot-key cache holds, a shard group over its
+  // admission budget), takes the sync-leg ticket of a client write, and
+  // posts one group per owning shard.
+  void StartDataOps(Request&& request, ResponseCallback done);
+  // In-shard: applies the group's ops, queues their lane legs, and counts
+  // the gather down once per touched store's durability.
+  void ExecDataGroup(Shard& shard, const std::shared_ptr<DataGather>& gather);
+  // The last group to apply starts the request's sync legs.
+  void DataGroupApplied(const std::shared_ptr<DataGather>& gather);
+  void CompleteDataOps(const std::shared_ptr<DataGather>& gather);
+  // Answers the request: the lone response, or the packed carrier.
+  void FinalizeDataOps(DataGather& gather);
+  // The one in-shard step of every data op: routing and the redirect, the
+  // migrating/rebuilding guard, append dedup, the store call, cache upkeep
+  // and the replica legs. `delta_gate` is the request's one-delta claim.
   // Lane legs go into `lane`, for the caller to queue in this drain.
-  AppliedOp ApplyDataOp(Shard& shard, const Request& request,
-                        std::atomic<bool>* delta_gate, LegGroups* lane);
+  void ApplyDataOp(Shard& shard, DataOp& op, std::atomic<bool>& delta_gate,
+                   LegGroups* lane);
   DataRoute RouteDataOp(Shard& shard, const Request& request,
-                        std::atomic<bool>* delta_gate);
+                        std::atomic<bool>& delta_gate);
   Response RedirectTo(const Shard& shard, InstanceId owner, std::uint64_t seq,
                       std::uint32_t requester_epoch, bool include_membership);
   bool IsDuplicateAppend(Shard& shard, const Request& request);
@@ -512,20 +510,13 @@ class ZhtServer {
   // membership update names their new owner (subsequent requests redirect).
   void ReleaseCompletedHandoffs(Shard& shard);
   // The legs an applied client mutation owes its replica chain (rotated to
-  // lead with this instance for a failover write): the sync ones in the
-  // plan (none: nullopt), the rest — legs past the secondary and to members
-  // mid-rebuild — added to `lane`.
-  std::optional<ReplicaPlan> MakeReplicaPlan(const Shard& shard,
-                                             const Request& request,
-                                             const DataRoute& route,
-                                             LegGroups* lane) const;
-
-  void StartBatch(Request&& request, ResponseCallback done);  // ingress
-  void ExecBatchGroup(Shard& shard, const std::shared_ptr<BatchGather>& gather,
-                      std::vector<std::size_t> indices);
-  void BatchGroupApplied(const std::shared_ptr<BatchGather>& gather);
-  void CompleteBatchGroup(const std::shared_ptr<BatchGather>& gather);
-  void FinalizeBatch(const std::shared_ptr<BatchGather>& gather);
+  // lead with this instance for a failover write): returns the sync ones
+  // and adds the rest — legs past the secondary and to members mid-rebuild
+  // — to `lane`.
+  std::vector<ReplicaLeg> PlanReplicaLegs(const Shard& shard,
+                                          const Request& request,
+                                          const DataRoute& route,
+                                          LegGroups* lane) const;
 
   void StartMembershipPush(Request&& request, ResponseCallback done);
   void ExecBroadcast(Shard& shard, Request&& request, ResponseCallback done);
@@ -589,10 +580,8 @@ class ZhtServer {
   // --- replication and the peer-I/O pool ---
   static void AddLeg(const Request& op, PartitionId partition,
                      const ReplicaLeg& target, LegGroups* groups);
-  // Pool job: sends the sync legs (plans[i] is ops[i]'s), one CallBatch
-  // per target.
-  void SendReplicaLegs(std::span<const Request> ops,
-                       std::span<const ReplicaPlan> plans);
+  // Pool job: sends the ops' sync legs, one CallBatch per target.
+  void SendReplicaLegs(std::span<const DataOp> ops);
   // In-shard: one lane message per target (the leg, or a BATCH carrier).
   void QueueLaneLegs(LegGroups& groups);
   // Queues `request` on the lane; in-shard only, so the lane keeps the
@@ -610,28 +599,18 @@ class ZhtServer {
   std::uint64_t ReserveTicket();
   void ReleaseTicket(std::uint64_t ticket);  // 0: none
   void FinisherLoop();
-  void FinishAckJoin(AckJoin& join);
 
   void RecordDataOpLatency(OpCode op, Nanos start);
   void OnRequestComplete();
 
   // --- hot-key cache + admission control (DESIGN.md §13) ---
-  // Counting cache probe: hit/miss counters plus the shared-state read.
-  // Ingress threads and shard drains both use it; the cache itself is
-  // safe for concurrent readers.
-  bool CacheLookup(Shard& shard, std::string_view key, std::string* value);
-  // Ingress fast path: answer a client lookup from the owning shard's
-  // cache without posting into the mailbox. True = `done` was called.
-  bool TryServeFromCache(Shard& shard, const Request& request,
-                         const ResponseCallback& done, Nanos start);
-  // Admission decision: 0 = admit; otherwise the retry-after hint (µs) to
-  // return with kUnavailable. Shared by the single-op and batch paths.
+  // Ingress probe for a client lookup: on a hit, fills `resp` from the
+  // owning shard's cache and counts the op. Safe from any thread; the
+  // cache is safe for concurrent readers.
+  bool CacheHit(Shard& shard, const Request& request, Response* resp);
+  // Admission decision for one shard group: 0 = admit; otherwise the
+  // retry-after hint (µs) to return with kUnavailable.
   std::uint32_t AdmissionRetryHint(Shard& shard) const;
-  // Ingress admission control: when the shard's mailbox depth or queued
-  // payload bytes exceed the budget, answer kUnavailable + retry-after
-  // inline instead of queueing. True = the op was shed (`done` called).
-  bool MaybeShed(Shard& shard, const Request& request,
-                 const ResponseCallback& done);
   // In-shard, synchronous with the mutation that triggers them:
   void CacheFill(Shard& shard, PartitionId partition, std::string_view key,
                  std::string_view value);

@@ -2,7 +2,8 @@
 // CallBatch implementations (loopback delivery, TCP chunked pipelining,
 // UDP MTU fragmenting), server-side unit application (migration locks and
 // redirects per sub-op, append dedup across retransmitted carriers), and
-// the client Multi* API end-to-end.
+// the client Multi* API end-to-end. BatchServerTest and
+// BatchReplicationTest carry the ctest label `ack`.
 #include <gtest/gtest.h>
 
 #include <atomic>

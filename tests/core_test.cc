@@ -293,6 +293,36 @@ TEST(ZhtCoreTest, BroadcastReachesEveryInstance) {
   }
 }
 
+// The broadcast tree is built over the alive instances: a dead instance
+// must not cut off its subtree, and a dead instance 0 must not stop the
+// broadcast at its root.
+void ExpectBroadcastReachesSurvivors(InstanceId dead) {
+  auto cluster = LocalCluster::Start(SmallCluster(7, /*replicas=*/1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  (*cluster)->KillInstance(dead);
+  ASSERT_TRUE((*cluster)->manager(0)->HandleFailure(dead).ok());
+  auto client = (*cluster)->CreateClient();
+  const InstanceId source = dead == 0 ? 1 : 0;
+  ASSERT_TRUE(client->RefreshMembership(source).ok());
+  ASSERT_TRUE(client->Broadcast("bcast-key", "survivors").ok());
+  for (int round = 0; round < 4; ++round) {
+    (*cluster)->FlushAllAsyncReplication();
+  }
+  for (std::size_t i = 0; i < 7; ++i) {
+    if (i == dead) continue;
+    EXPECT_GE((*cluster)->server(i)->stats().broadcasts, 1u)
+        << "instance " << i;
+  }
+}
+
+TEST(ZhtCoreTest, BroadcastReachesPastADeadInstance) {
+  ExpectBroadcastReachesSurvivors(1);
+}
+
+TEST(ZhtCoreTest, BroadcastReachesEveryoneWhenInstanceZeroIsDead) {
+  ExpectBroadcastReachesSurvivors(0);
+}
+
 TEST(ZhtCoreTest, MembershipRefreshPullsTable) {
   auto cluster = LocalCluster::Start(SmallCluster(3));
   ASSERT_TRUE(cluster.ok());

@@ -8,7 +8,8 @@
 //     drop, eviction, size accounting, the disabled (capacity 0) mode;
 //   * the staleness contract through ZhtServer: write/append/remove
 //     invalidation before ack, migration and rebuild dropping entries,
-//     membership pushes clearing the cache;
+//     membership pushes clearing the cache; a cached lookup, alone or in
+//     a BATCH, answered while its shard's drain is held;
 //   * admission control: kUnavailable + retry-after past the budget
 //     (slots and bytes), server-origin exemption, unbounded growth with
 //     the budget off, and the client honoring the hint;
@@ -18,6 +19,7 @@
 //     the history checker.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +33,7 @@
 #include "core/zht_server.h"
 #include "history_checker.h"
 #include "net/loopback.h"
+#include "serialize/batch.h"
 #include "serialize/metrics_codec.h"
 #include "serialize/wire.h"
 #include "shard_stall.h"
@@ -312,6 +315,42 @@ TEST_F(TrafficServerTest, CacheHitServesAndEveryMutationInvalidates) {
                 .status_as_object()
                 .code(),
             StatusCode::kNotFound);
+}
+
+// A cached lookup answers at ingress whether it comes alone or inside a
+// BATCH: neither waits for its shard's drain, here held by a ShardStall.
+TEST_F(TrafficServerTest, CachedLookupSkipsAStalledShardAloneAndInABatch) {
+  ShardStall stall;
+  auto server = MakeServer(/*cache_entries=*/64, /*shed_budget=*/0,
+                           stall.Factory());
+  ASSERT_TRUE(server->Handle(DataRequest(OpCode::kInsert, "k", "v")).ok());
+  ASSERT_EQ(server->Handle(DataRequest(OpCode::kLookup, "k")).value, "v");
+  stall.Hold(*server, 0);
+
+  std::atomic<int> answered{0};
+  Response single;
+  server->HandleAsync(DataRequest(OpCode::kLookup, "k"),
+                      [&](Response&& resp) {
+                        single = std::move(resp);
+                        ++answered;
+                      });
+  EXPECT_EQ(answered.load(), 1) << "the single-key lookup waited";
+
+  Request lookup = DataRequest(OpCode::kLookup, "k");
+  Response carrier;
+  server->HandleAsync(PackBatchRequest({&lookup, 1}, lookup.seq),
+                      [&](Response&& resp) {
+                        carrier = std::move(resp);
+                        ++answered;
+                      });
+  EXPECT_EQ(answered.load(), 2) << "the batched lookup waited for the stall";
+  stall.Release();
+
+  EXPECT_EQ(single.value, "v");
+  auto subs = UnpackBatchResponse(carrier, 1);
+  ASSERT_TRUE(subs.ok()) << subs.status().ToString();
+  EXPECT_EQ(subs->front().value, "v");
+  EXPECT_EQ(server->stats().hot_cache_hits, 2u);
 }
 
 TEST_F(TrafficServerTest, ReadYourWritesHoldsUnderCacheChurn) {

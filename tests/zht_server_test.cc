@@ -9,8 +9,12 @@
 // `recovery`). ReplicatedAckTest covers the ack of a replicated write: a
 // failed sync leg is counted, and the leg runs beside the group commit.
 // DataOpParityTest checks that a single-key request and the same op alone
-// in a BATCH get the same answer, and DurableDedupTest that a retransmitted
-// append is not acked before the original is durable.
+// in a BATCH get the same answer (a redirect, a migrating partition, a
+// missing key, a duplicate append, a failover write, a cache hit, a shed,
+// a replicated write and a failed sync), and DurableDedupTest that a
+// retransmitted append is not acked before the original is durable.
+// ReplicatedAckTest, DurableDedupTest and DataOpParityTest carry the ctest
+// label `ack`.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -395,6 +399,105 @@ class DataOpParityTest : public ZhtServerUnitTest,
     t.network_.Unregister(t.addresses_[1]);
     return resp;
   }
+
+  // Instance 0 of the fixture's table, built with `options`.
+  std::unique_ptr<ZhtServer> MakeServerWith(ZhtServerOptions options) {
+    options.self = 0;
+    return std::make_unique<ZhtServer>(table_, options, transport_.get());
+  }
+
+  static Response CacheHit(DataOpParityTest& t, bool batched) {
+    ZhtServerOptions options;
+    options.cluster.hot_cache_entries = 64;
+    auto server = t.MakeServerWith(options);
+    const std::string key = t.KeyOwnedBy(0);
+    EXPECT_TRUE(server->Handle(t.DataRequest(OpCode::kInsert, key, "v")).ok());
+    EXPECT_TRUE(server->Handle(t.DataRequest(OpCode::kLookup, key)).ok());
+    Response resp = Send(*server, t.DataRequest(OpCode::kLookup, key), batched);
+    EXPECT_EQ(resp.value, "v");
+    EXPECT_EQ(server->stats().hot_cache_hits, 1u);
+    return resp;
+  }
+
+  static Response Shed(DataOpParityTest& t, bool batched) {
+    // The shard's drain is held and one op waits behind it: with a budget
+    // of one slot, the next op is over budget.
+    ShardStall stall;
+    ZhtServerOptions options;
+    options.num_shards = 1;
+    options.cluster.shed_queue_budget = 1;
+    options.store_factory = stall.Factory();
+    auto server = t.MakeServerWith(options);
+    stall.Hold(*server, 0);
+    const std::string key = t.KeyOwnedBy(0);
+    server->HandleAsync(t.DataRequest(OpCode::kInsert, key, "queued"),
+                        [](Response&&) {});
+    Response resp =
+        Send(*server, t.DataRequest(OpCode::kInsert, key, "v"), batched);
+    EXPECT_EQ(resp.status_as_object().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(resp.retry_after_us, 1000u);
+    EXPECT_EQ(server->stats().sheds, 1u);
+    stall.Release();
+    return resp;
+  }
+
+  static Response ReplicatedWrite(DataOpParityTest& t, bool batched) {
+    auto owner = t.MakeServer(0, /*replicas=*/1);
+    auto secondary = t.MakeServer(1, /*replicas=*/1);
+    t.network_.Register(t.addresses_[0], owner->AsyncHandler());
+    t.network_.Register(t.addresses_[1], secondary->AsyncHandler());
+    const std::string key = t.KeyOwnedBy(0);
+    Response resp =
+        Send(*owner, t.DataRequest(OpCode::kInsert, key, "rv"), batched);
+    EXPECT_TRUE(resp.ok());
+    const Pairs expected = {{key, "rv"}};
+    EXPECT_EQ(secondary->PartitionPairs(t.table_.PartitionOfKey(key)),
+              expected);
+    EXPECT_EQ(owner->stats().replications_sync, 1u);
+    t.network_.Unregister(t.addresses_[0]);
+    t.network_.Unregister(t.addresses_[1]);
+    return resp;
+  }
+
+  static Response FailedSync(DataOpParityTest& t, bool batched) {
+    // A group-commit store whose fsyncs fail once armed: the write applied
+    // but never became durable, so it is not acked.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("zht_failed_sync_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto fail = std::make_shared<std::atomic<bool>>(false);
+    ZhtServerOptions options;
+    options.cluster.durability = DurabilityMode::kGroupCommit;
+    options.store_factory = [dir, fail](InstanceId self, PartitionId p)
+        -> std::unique_ptr<KVStore> {
+      NoVoHTOptions store;
+      store.path = (dir / ("i" + std::to_string(self) + "_p" +
+                           std::to_string(p)))
+                       .string();
+      store.durability = DurabilityMode::kGroupCommit;
+      store.wait_for_durable = false;
+      store.fsync_hook = [fail](int fd) {
+        return fail->load() ? -1 : ::fdatasync(fd);
+      };
+      auto opened = NoVoHT::Open(store);
+      return opened.ok() ? std::move(*opened) : nullptr;
+    };
+    Response resp;
+    {
+      auto server = t.MakeServerWith(options);
+      const std::string key = t.KeyOwnedBy(0);
+      // Opens the store before its fsyncs fail.
+      EXPECT_TRUE(
+          server->Handle(t.DataRequest(OpCode::kInsert, key, "warm")).ok());
+      fail->store(true);
+      resp = Send(*server, t.DataRequest(OpCode::kInsert, key, "v"), batched);
+      EXPECT_EQ(resp.status_as_object().code(), StatusCode::kInternal);
+    }
+    std::filesystem::remove_all(dir);
+    return resp;
+  }
 };
 
 TEST_P(DataOpParityTest, SingleKeyEqualsOneOpBatch) {
@@ -418,7 +521,11 @@ INSTANTIATE_TEST_SUITE_P(
         DataOpCase{"RemoveMissing", &DataOpParityTest::RemoveMissing},
         DataOpCase{"DuplicateAppend", &DataOpParityTest::DuplicateAppend},
         DataOpCase{"FailoverWriteAtSecondary",
-                   &DataOpParityTest::FailoverWriteAtSecondary}),
+                   &DataOpParityTest::FailoverWriteAtSecondary},
+        DataOpCase{"CacheHit", &DataOpParityTest::CacheHit},
+        DataOpCase{"Shed", &DataOpParityTest::Shed},
+        DataOpCase{"ReplicatedWrite", &DataOpParityTest::ReplicatedWrite},
+        DataOpCase{"FailedSync", &DataOpParityTest::FailedSync}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // STATS answers with the versioned structured metrics encoding: the
