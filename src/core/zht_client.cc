@@ -493,26 +493,34 @@ Status ZhtClient::Broadcast(std::string_view key, std::string_view value) {
 }
 
 Status ZhtClient::RefreshMembership(std::optional<InstanceId> from) {
-  InstanceId source = from.value_or(0);
-  if (source >= table_.instance_count()) {
+  if (from && *from >= table_.instance_count()) {
     return Status(StatusCode::kInvalidArgument, "no such instance");
   }
-  Request pull;
-  pull.op = OpCode::kMembershipPull;
-  pull.seq = next_seq_++;
-  pull.epoch = table_.epoch();
-  counters_.membership_pulls->Increment();
-  auto result = transport_->Call(table_.Instance(source).address, pull,
-                                 options_.cluster.op_timeout);
-  if (!result.ok()) return result.status();
-  if (result->membership.empty()) {
-    return Status(StatusCode::kInternal, "empty membership response");
+  // Without a source, the alive instances in id order until one answers.
+  const std::vector<InstanceId> sources =
+      from ? std::vector<InstanceId>{*from} : table_.AliveIds();
+  Status status(StatusCode::kUnavailable, "no alive instance");
+  for (InstanceId source : sources) {
+    Request pull;
+    pull.op = OpCode::kMembershipPull;
+    pull.seq = next_seq_++;
+    pull.epoch = table_.epoch();
+    counters_.membership_pulls->Increment();
+    auto result = transport_->Call(table_.Instance(source).address, pull,
+                                   options_.cluster.op_timeout);
+    if (!result.ok()) {
+      status = result.status();
+    } else if (result->membership.empty()) {
+      status = Status(StatusCode::kInternal, "empty membership response");
+    } else {
+      status = ApplyMembership(result->membership);
+      if (status.ok()) {
+        last_pull_epoch_ = std::max(last_pull_epoch_, table_.epoch());
+        return status;
+      }
+    }
   }
-  Status applied = ApplyMembership(result->membership);
-  if (applied.ok()) {
-    last_pull_epoch_ = std::max(last_pull_epoch_, table_.epoch());
-  }
-  return applied;
+  return status;
 }
 
 }  // namespace zht

@@ -131,10 +131,11 @@ class ZhtClient {
   Status Ping(InstanceId instance);
 
   // Broadcast primitive (§VI): delivers the pair to every instance via a
-  // spanning tree rooted at instance 0.
+  // spanning tree over the alive instances, rooted at the first of them.
   Status Broadcast(std::string_view key, std::string_view value);
 
-  // Pulls a fresh membership table from the given (or primary) instance.
+  // Pulls a fresh membership table from the given instance, or else from
+  // the first alive instance (in id order) that answers.
   Status RefreshMembership(std::optional<InstanceId> from = std::nullopt);
 
   MembershipTable& table() { return table_; }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/await.h"
-#include "common/crc32.h"
 #include "common/log.h"
 #include "novoht/novoht.h"
 #include "serialize/batch.h"
@@ -98,6 +97,17 @@ void AddLogMetrics(StoreDurabilityMetrics one,
   logs->push_back(std::move(one));
 }
 
+// The digest of a store's pairs ({0, 0} when absent). In-shard.
+PartitionDigest DigestOf(const KVStore* store) {
+  PartitionDigest digest;
+  if (store) {
+    store->ForEach([&digest](std::string_view key, std::string_view value) {
+      digest.Add(key, value);
+    });
+  }
+  return digest;
+}
+
 }  // namespace
 
 StoreFactory MakeNoVoHTStoreFactory(std::string dir,
@@ -180,6 +190,9 @@ ZhtServer::ZhtServer(MembershipTable table, const ZhtServerOptions& options,
                      ? std::make_unique<Shard>(std::move(table), cache_entries)
                      : std::make_unique<Shard>(table, cache_entries);
     shard->index = s;
+    shard->stride = num_shards;
+    shard->partitions.resize((space_.num_partitions() + num_shards - 1 - s) /
+                             num_shards);
     shards_.push_back(std::move(shard));
   }
 
@@ -260,7 +273,7 @@ ZhtServer::~ZhtServer() {
   // the log's flusher thread, which may still be exiting a signal
   // (EnqueueFinisher, OnRequestComplete) issued from its final durability
   // callback.
-  for (auto& shard : shards_) shard->stores.clear();
+  for (auto& shard : shards_) shard->partitions.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -355,6 +368,16 @@ void ZhtServer::HandleAsync(Request&& request, ResponseCallback done) {
     done(std::move(resp));
     OnRequestComplete();
   };
+  // Migrate, repair, digest and transfer messages name a partition (other
+  // ops leave the field 0); one past the table is malformed.
+  if (request.partition >= space_.num_partitions()) {
+    Response resp;
+    resp.seq = request.seq;
+    resp.status =
+        Status(StatusCode::kInvalidArgument, "no such partition").raw();
+    finish(std::move(resp));
+    return;
+  }
 
   switch (request.op) {
     case OpCode::kPing: {
@@ -563,70 +586,16 @@ bool ZhtServer::IsDuplicateAppend(Shard& shard, const Request& request) {
   return false;
 }
 
-KVStore* ZhtServer::StoreIn(Shard& shard, PartitionId partition) {
-  auto it = shard.stores.find(partition);
-  if (it != shard.stores.end()) return it->second.get();
-  std::shared_ptr<KVStore> store =
-      options_.store_factory(options_.self, partition);
-  KVStore* raw = store.get();
-  shard.stores.emplace(partition, std::move(store));
-  return raw;
-}
-
-void ZhtServer::ReleaseStuckRebuilds(Shard& shard) {
-  for (auto it = shard.rebuilding.begin(); it != shard.rebuilding.end();) {
-    const PartitionId partition = *it;
-    const auto chain =
-        shard.table.ReplicaChain(partition, options_.cluster.num_replicas);
-    if (!chain.empty() && chain[0] == options_.self) {
-      shard.landing.erase(partition);
-      it = shard.rebuilding.erase(it);
-    } else {
-      ++it;
-    }
+KVStore* ZhtServer::StoreIn(Partition& record, PartitionId partition) {
+  if (!record.store) {
+    record.store = options_.store_factory(options_.self, partition);
   }
-}
-
-void ZhtServer::ReleaseCompletedHandoffs(Shard& shard) {
-  for (auto it = shard.handed_off.begin(); it != shard.handed_off.end();) {
-    const PartitionId partition = it->first;
-    if (partition < shard.table.num_partitions() &&
-        shard.table.OwnerOf(partition) != options_.self) {
-      const bool had_data = it->second;
-      it = shard.handed_off.erase(it);
-      ReleaseHandoff(shard, partition, had_data);
-    } else {
-      ++it;
-    }
-  }
-}
-
-Status ZhtServer::ApplyToStore(Shard& shard, OpCode op, PartitionId partition,
-                               std::string_view key, std::string_view value,
-                               std::string* out) {
-  KVStore* store = StoreIn(shard, partition);
-  if (!store) return Status(StatusCode::kInternal, "store factory failed");
-  switch (op) {
-    case OpCode::kInsert:
-      return store->Put(key, value);
-    case OpCode::kLookup: {
-      auto result = store->Get(key);
-      if (!result.ok()) return result.status();
-      if (out) *out = std::move(*result);
-      return Status::Ok();
-    }
-    case OpCode::kRemove:
-      return store->Remove(key);
-    case OpCode::kAppend:
-      return store->Append(key, value);
-    default:
-      return Status(StatusCode::kInvalidArgument, "not a data op");
-  }
+  return record.store.get();
 }
 
 std::vector<ZhtServer::ReplicaLeg> ZhtServer::PlanReplicaLegs(
     const Shard& shard, const Request& request, const DataRoute& route,
-    LegGroups* lane) const {
+    const RebuildOut* rebuild, LegGroups* lane) const {
   if (options_.cluster.num_replicas == 0 || request.server_origin ||
       route.chain.size() < 2) {
     return {};
@@ -650,15 +619,13 @@ std::vector<ZhtServer::ReplicaLeg> ZhtServer::PlanReplicaLegs(
   }
   // Members with an in-flight rebuild stream take their legs through the
   // lane, behind the stream.
-  auto rebuild = shard.rebuild_out.find(route.partition);
   std::vector<ReplicaLeg> sync;
   for (std::size_t r = 1; r < chain.size(); ++r) {
     const InstanceId id = chain[r];
     const bool diverted =
-        rebuild != shard.rebuild_out.end() &&
-        std::any_of(rebuild->second.targets.begin(),
-                    rebuild->second.targets.end(),
-                    [id](const RebuildTarget& t) { return t.id == id; });
+        rebuild && std::any_of(
+                       rebuild->targets.begin(), rebuild->targets.end(),
+                       [id](const RebuildTarget& t) { return t.id == id; });
     // Addresses resolve here, so pool threads never touch a table.
     ReplicaLeg leg{id,
                    id < shard.table.instance_count()
@@ -686,8 +653,10 @@ void ZhtServer::ApplyDataOp(Shard& shard, DataOp& op,
   Response& resp = op.resp;
   resp.seq = request.seq;
   resp.epoch = route.epoch;
-  if (shard.migrating.count(route.partition) ||
-      shard.rebuilding.count(route.partition)) {
+  // The op's one lookup of its partition: the guard, the store, the commit
+  // token (through op.store) and the leg diversion all read this record.
+  Partition& record = shard.Record(route.partition);
+  if (record.migrating || record.rebuilding) {
     // Partition is locked mid-migration (§III.C "Data Migration") or mid-
     // transfer (between kTransferBegin and kTransferEnd): state cannot be
     // modified; the client backs off and retries, which realizes the
@@ -702,10 +671,24 @@ void ZhtServer::ApplyDataOp(Shard& shard, DataOp& op,
     // the original, which may still be waiting for its group commit.
     counters_.duplicate_appends_dropped->Increment();
     op.durable_wait = true;
+    op.store = record.store.get();
     return;
   }
-  Status status = ApplyToStore(shard, request.op, route.partition,
-                               request.key, request.value, &resp.value);
+  KVStore* store = StoreIn(record, route.partition);
+  Status status;
+  if (!store) {
+    status = Status(StatusCode::kInternal, "store factory failed");
+  } else if (request.op == OpCode::kInsert) {
+    status = store->Put(request.key, request.value);
+  } else if (request.op == OpCode::kLookup) {
+    auto value = store->Get(request.key);
+    status = value.status();
+    if (value.ok()) resp.value = std::move(*value);
+  } else if (request.op == OpCode::kRemove) {
+    status = store->Remove(request.key);
+  } else {
+    status = store->Append(request.key, request.value);
+  }
   counters_.ops->Increment();
   resp.status = status.raw();
   if (request.op == OpCode::kLookup) {
@@ -719,16 +702,9 @@ void ZhtServer::ApplyDataOp(Shard& shard, DataOp& op,
   CacheInvalidate(shard, request.key);
   if (!status.ok()) return;
   op.durable_wait = true;
-  op.sync_legs = PlanReplicaLegs(shard, request, route, lane);
-}
-
-ZhtServer::CommitPoint ZhtServer::CommitPointOf(const Shard& shard,
-                                                PartitionId partition) {
-  // The token covers exactly the mutations applied so far — captured
-  // in-shard, where this store is ordered.
-  auto it = shard.stores.find(partition);
-  if (it == shard.stores.end() || !it->second) return {};
-  return {it->second.get(), it->second->last_commit_token()};
+  op.store = store;
+  op.sync_legs =
+      PlanReplicaLegs(shard, request, route, record.rebuild.get(), lane);
 }
 
 // ---------------------------------------------------------------------------
@@ -875,17 +851,17 @@ void ZhtServer::ExecDataGroup(Shard& shard,
   // partition names its shard, so matching on it stays inside this group.
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const DataOp& op = ops[i];
-    if (op.shard != shard.index || !op.durable_wait) continue;
+    if (op.shard != shard.index || !op.store) continue;
     const bool seen = std::any_of(
         ops.begin(), ops.begin() + i, [&op](const DataOp& earlier) {
-          return earlier.partition == op.partition && earlier.durable_wait;
+          return earlier.partition == op.partition && earlier.store;
         });
     if (seen) continue;
-    const CommitPoint commit = CommitPointOf(shard, op.partition);
-    if (commit.token == 0) continue;
+    const std::uint64_t token = op.store->last_commit_token();
+    if (token == 0) continue;
     gather->remaining.fetch_add(1, kRelaxed);
-    commit.store->NotifyDurable(
-        commit.token,
+    op.store->NotifyDurable(
+        token,
         [this, gather, partition = op.partition](Status durable) {
           if (!durable.ok()) {
             // Ops on a store that failed to sync were never durable: fail
@@ -954,13 +930,7 @@ void ZhtServer::StartMembershipPush(Request&& request, ResponseCallback done) {
   const std::uint64_t seq = request.seq;
   Post(*shards_.front(), [this, payload, seq,
                           done = std::move(done)](Shard& s0) mutable {
-    Status status = s0.table.ApplyUpdate(*payload);
-    ReleaseStuckRebuilds(s0);
-    ReleaseCompletedHandoffs(s0);
-    // Ownership may have moved with the epoch: a cached entry must never
-    // outlive this instance's claim on its partition, and membership
-    // changes are rare enough that a full clear is the simplest proof.
-    CacheClear(s0);
+    Status status = ApplyMembershipPush(s0, *payload);
     const std::uint32_t epoch = s0.table.epoch();
     epoch_.store(epoch, kRelaxed);
     if (shards_.size() == 1) {
@@ -982,10 +952,7 @@ void ZhtServer::StartMembershipPush(Request&& request, ResponseCallback done) {
     gather->done = std::move(done);
     for (std::size_t s = 1; s < shards_.size(); ++s) {
       Post(*shards_[s], [this, payload, gather](Shard& sh) {
-        sh.table.ApplyUpdate(*payload);
-        ReleaseStuckRebuilds(sh);
-        ReleaseCompletedHandoffs(sh);
-        CacheClear(sh);
+        ApplyMembershipPush(sh, *payload);
         if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           Response resp;
           resp.seq = gather->seq;
@@ -996,6 +963,30 @@ void ZhtServer::StartMembershipPush(Request&& request, ResponseCallback done) {
       });
     }
   });
+}
+
+Status ZhtServer::ApplyMembershipPush(Shard& shard,
+                                      const std::string& payload) {
+  Status status = shard.table.ApplyUpdate(payload);
+  for (std::size_t i = 0; i < shard.partitions.size(); ++i) {
+    Partition& record = shard.partitions[i];
+    if (!record.rebuilding && !record.handed_off) continue;
+    const auto partition =
+        static_cast<PartitionId>(i * shard.stride + shard.index);
+    const bool owned = shard.table.OwnerOf(partition) == options_.self;
+    if (owned && record.rebuilding) {
+      record.rebuilding = false;
+      record.landing.reset();
+    } else if (!owned && record.handed_off) {
+      record.handed_off = false;
+      ReleaseHandoff(shard, partition, record);
+    }
+  }
+  // Ownership may have moved with the epoch: a cached entry must never
+  // outlive this instance's claim on its partition, and membership
+  // changes are rare enough that a full clear is the simplest proof.
+  CacheClear(shard);
+  return status;
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,7 +1000,8 @@ void ZhtServer::StartMigrateOut(PartitionId partition,
                                 std::function<void(Status)> done) {
   Post(ShardForPartition(partition),
        [this, partition, target, done = std::move(done)](Shard& sh) mutable {
-         if (sh.migrating.count(partition)) {
+         Partition& record = sh.Record(partition);
+         if (record.migrating) {
            done(Status(StatusCode::kMigrating, "partition already migrating"));
            return;
          }
@@ -1017,7 +1009,8 @@ void ZhtServer::StartMigrateOut(PartitionId partition,
          // between the mark and the snapshot, so the stream is exact.
          // Writers arriving after see kMigrating and retry (§III.C "Data
          // Migration").
-         sh.migrating.insert(partition);
+         record.migrating = true;
+         record.had_data = record.store && record.store->Size() != 0;
          CacheDropPartition(sh, partition);
          StreamTransfer(
              sh, partition, target, /*replica_index=*/0,
@@ -1027,32 +1020,30 @@ void ZhtServer::StartMigrateOut(PartitionId partition,
                  counters_.migration_pairs_streamed->Increment(size.pairs);
                  counters_.migration_bytes_streamed->Increment(size.bytes);
                }
-               FinishMigrateOut(partition, std::move(status), size.pairs != 0,
-                                std::move(done));
+               FinishMigrateOut(partition, std::move(status), std::move(done));
              });
        });
 }
 
 void ZhtServer::FinishMigrateOut(PartitionId partition, Status status,
-                                 bool had_data,
                                  std::function<void(Status)> done) {
   // Completion posts back to the owning shard: on success the partition is
   // relinquished; either way the migration lock lifts.
   Post(ShardForPartition(partition),
-       [this, partition, status = std::move(status), had_data,
+       [this, partition, status = std::move(status),
         done = std::move(done)](Shard& sh) mutable {
+         Partition& record = sh.Record(partition);
          if (status.ok()) {
            // Empty the store before dropping it: a persistent store leaves
            // its log behind, and a later StoreIn at the same path would
            // replay the handed-off pairs back to life.
-           auto it = sh.stores.find(partition);
-           if (it != sh.stores.end()) {
-             Status cleared = it->second ? it->second->Clear() : Status::Ok();
+           if (record.store) {
+             Status cleared = record.store->Clear();
              if (!cleared.ok()) {
                ZHT_WARN << "clearing handed-off partition " << partition
                         << " failed: " << cleared.ToString();
              }
-             sh.stores.erase(it);
+             record.store.reset();
            }
            counters_.migrations_out->Increment();
          }
@@ -1063,24 +1054,23 @@ void ZhtServer::FinishMigrateOut(PartitionId partition, Status status,
          if (!status.ok()) {
            // Stream failed; the partition stays put and this instance
            // keeps serving it.
-           sh.migrating.erase(partition);
-         } else if (partition < sh.table.num_partitions() &&
-                    sh.table.OwnerOf(partition) == options_.self) {
+           record.migrating = false;
+         } else if (sh.table.OwnerOf(partition) == options_.self) {
            // The table still names this instance owner: hold the
            // kMigrating lock until the manager's ownership update lands,
            // or this window serves the just-erased store as primary.
-           sh.handed_off.emplace(partition, had_data);
+           record.handed_off = true;
          } else {
-           ReleaseHandoff(sh, partition, had_data);
+           ReleaseHandoff(sh, partition, record);
          }
          done(std::move(status));
        });
 }
 
 void ZhtServer::ReleaseHandoff(Shard& shard, PartitionId partition,
-                               bool had_data) {
-  shard.migrating.erase(partition);
-  if (!had_data) return;
+                               Partition& record) {
+  record.migrating = false;
+  if (!record.had_data) return;
   const auto chain =
       shard.table.ReplicaChain(partition, options_.cluster.num_replicas);
   if (std::find(chain.begin(), chain.end(), options_.self) != chain.end()) {
@@ -1088,7 +1078,7 @@ void ZhtServer::ReleaseHandoff(Shard& shard, PartitionId partition,
     // left to serve it from: refuse failover reads (rebuilding mark) until
     // the manager-commanded repair streams the copy back. The rebuild's
     // Begin simply re-marks; its End lifts the mark.
-    shard.rebuilding.insert(partition);
+    record.rebuilding = true;
     CacheDropPartition(shard, partition);
   }
 }
@@ -1110,28 +1100,14 @@ Status ZhtServer::MigratePartitionTo(PartitionId partition,
 // destination converges without ever blocking writes here.
 // ---------------------------------------------------------------------------
 
-PartitionDigest ZhtServer::DigestOfStore(const KVStore* store) {
-  PartitionDigest digest;
-  if (!store) return digest;
-  store->ForEach([&digest](std::string_view key, std::string_view value) {
-    ++digest.count;
-    // Chain the key's CRC into the value's seed so the pair hashes as a
-    // unit ((ab, c) and (a, bc) differ); XOR keeps the fold order-free.
-    digest.crc ^= Crc32c(value, Crc32c(key));
-  });
-  return digest;
-}
-
 void ZhtServer::ExecDigest(Shard& shard, Request&& request,
                            ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
   resp.epoch = shard.table.epoch();
-  auto it = shard.stores.find(request.partition);
-  const KVStore* store = it != shard.stores.end() ? it->second.get() : nullptr;
   // A partition we do not hold digests as {0, 0} — indistinguishable from
   // empty, which is exactly right: both need the full stream.
-  resp.value = DigestOfStore(store).Encode();
+  resp.value = DigestOf(shard.Record(request.partition).store.get()).Encode();
   done(std::move(resp));
 }
 
@@ -1150,8 +1126,9 @@ void ZhtServer::ExecTransferBegin(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  shard.landing[request.partition] = std::move(*landing);
-  shard.rebuilding.insert(request.partition);
+  Partition& record = shard.Record(request.partition);
+  record.landing = std::move(*landing);
+  record.rebuilding = true;
   // No fills can happen while the mark rejects reads, and the entries
   // cached so far describe the copy about to be replaced.
   CacheDropPartition(shard, request.partition);
@@ -1162,8 +1139,8 @@ void ZhtServer::ExecTransferData(Shard& shard, Request&& request,
                                  ResponseCallback done) {
   Response resp;
   resp.seq = request.seq;
-  auto landing = shard.landing.find(request.partition);
-  if (landing == shard.landing.end()) {
+  Partition& record = shard.Record(request.partition);
+  if (!record.landing) {
     // Begin never arrived, or a restart or promotion dropped the stream:
     // refuse so the source's End verification fails and it re-streams.
     resp.status =
@@ -1178,7 +1155,7 @@ void ZhtServer::ExecTransferData(Shard& shard, Request&& request,
     return;
   }
   for (const auto& [key, value] : *pairs) {
-    Status put = landing->second->Put(key, value);
+    Status put = record.landing->Put(key, value);
     if (!put.ok()) {
       resp.status = put.raw();
       break;
@@ -1198,8 +1175,8 @@ void ZhtServer::ExecTransferEnd(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  auto node = shard.landing.extract(request.partition);
-  if (node.empty()) {
+  Partition& record = shard.Record(request.partition);
+  if (!record.landing) {
     // The stream was broken (we restarted, Begin was dropped, or a
     // membership change promoted us mid-stream): report corruption so the
     // source re-streams from scratch.
@@ -1208,12 +1185,12 @@ void ZhtServer::ExecTransferEnd(Shard& shard, Request&& request,
     done(std::move(resp));
     return;
   }
-  shard.rebuilding.erase(request.partition);
-  const std::unique_ptr<KVStore>& landing = node.mapped();
-  const PartitionDigest mine = DigestOfStore(landing.get());
+  const std::unique_ptr<KVStore> landing = std::move(record.landing);
+  record.rebuilding = false;
+  const PartitionDigest mine = DigestOf(landing.get());
   resp.value = mine.Encode();
   if (!(mine == *expected)) {
-    // Canonical store untouched; the landing store dies with `node`.
+    // Canonical store untouched; the landing store dies with this call.
     resp.status =
         Status(StatusCode::kCorruption, "transfer digest mismatch").raw();
     done(std::move(resp));
@@ -1223,7 +1200,7 @@ void ZhtServer::ExecTransferEnd(Shard& shard, Request&& request,
   // Both are shard-local, so the swap cannot be interrupted by a peer
   // failure — it either happens entirely or the End errors out. Clearing
   // first also truncates any stale log a persistent store reopened.
-  KVStore* canonical = StoreIn(shard, request.partition);
+  KVStore* canonical = StoreIn(record, request.partition);
   if (!canonical) {
     resp.status = Status(StatusCode::kInternal, "store factory failed").raw();
     done(std::move(resp));
@@ -1265,44 +1242,65 @@ void ZhtServer::StartRebuild(PartitionId partition,
                              std::function<void(Status)> done) {
   Post(ShardForPartition(partition),
        [this, partition, done = std::move(done)](Shard& sh) mutable {
-         if (sh.rebuild_out.count(partition)) {
-           done(Status(StatusCode::kMigrating, "rebuild already in flight"));
+         Partition& record = sh.Record(partition);
+         if (record.rebuild) {
+           // A round is in flight, planned from an older chain: a member
+           // that joined since would never be streamed to. Coalesce: re-plan
+           // when the round ends, and report to this caller then.
+           record.rebuild->again = true;
+           record.rebuild->done.push_back(std::move(done));
            return;
          }
-         const std::vector<InstanceId> chain = sh.table.ReplicaChain(
-             partition, options_.cluster.num_replicas);
-         if (chain.empty() || chain[0] != options_.self) {
-           done(Status(StatusCode::kRedirect, "not the partition owner"));
-           return;
-         }
-         std::vector<RebuildTarget> targets;
-         for (std::size_t i = 1; i < chain.size(); ++i) {
-           if (chain[i] == options_.self) continue;
-           RebuildTarget target;
-           target.id = chain[i];
-           target.address = chain[i] < sh.table.instance_count()
-                                ? sh.table.Instance(chain[i]).address
-                                : NodeAddress{};
-           target.replica_index = static_cast<std::uint8_t>(i);
-           targets.push_back(std::move(target));
-         }
-         if (targets.empty()) {
-           done(Status::Ok());
-           return;
-         }
-         auto it = sh.stores.find(partition);
-         const PartitionDigest mine = DigestOfStore(
-             it != sh.stores.end() ? it->second.get() : nullptr);
-         RebuildOut& out = sh.rebuild_out[partition];
-         out.targets = targets;
-         out.done = std::move(done);
-         // Probe from a finisher (peer I/O); the stale subset posts back
-         // into this shard to start the streams.
-         EnqueueFinisher([this, partition, mine,
-                          targets = std::move(targets)]() mutable {
-           ProbeRebuildTargets(partition, mine, std::move(targets));
-         });
+         record.rebuild = std::make_unique<RebuildOut>();
+         record.rebuild->done.push_back(std::move(done));
+         PlanRebuild(sh, partition, record);
        });
+}
+
+void ZhtServer::PlanRebuild(Shard& shard, PartitionId partition,
+                            Partition& record) {
+  RebuildOut& out = *record.rebuild;
+  out.again = false;
+  out.aggregate = Status::Ok();
+  const std::vector<InstanceId> chain =
+      shard.table.ReplicaChain(partition, options_.cluster.num_replicas);
+  if (chain.empty() || chain[0] != options_.self) {
+    out.aggregate = Status(StatusCode::kRedirect, "not the partition owner");
+    FinishRebuild(shard, partition, record);
+    return;
+  }
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    if (chain[i] == options_.self) continue;
+    RebuildTarget target;
+    target.id = chain[i];
+    target.address = chain[i] < shard.table.instance_count()
+                         ? shard.table.Instance(chain[i]).address
+                         : NodeAddress{};
+    target.replica_index = static_cast<std::uint8_t>(i);
+    out.targets.push_back(std::move(target));
+  }
+  if (out.targets.empty()) {
+    FinishRebuild(shard, partition, record);
+    return;
+  }
+  // Probe from a finisher (peer I/O); the stale subset posts back into
+  // this shard to start the streams.
+  EnqueueFinisher([this, partition, mine = DigestOf(record.store.get()),
+                   targets = out.targets]() mutable {
+    ProbeRebuildTargets(partition, mine, std::move(targets));
+  });
+}
+
+void ZhtServer::FinishRebuild(Shard& shard, PartitionId partition,
+                              Partition& record) {
+  if (record.rebuild->again) {
+    PlanRebuild(shard, partition, record);
+    return;
+  }
+  const std::unique_ptr<RebuildOut> out = std::move(record.rebuild);
+  for (auto& done : out->done) {
+    if (done) done(out->aggregate);
+  }
 }
 
 void ZhtServer::ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
@@ -1339,11 +1337,11 @@ void ZhtServer::ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
 
 void ZhtServer::BeginRebuildStreams(Shard& shard, PartitionId partition,
                                     std::vector<InstanceId> stale) {
-  auto it = shard.rebuild_out.find(partition);
-  if (it == shard.rebuild_out.end()) return;
-  RebuildOut& out = it->second;
+  Partition& record = shard.Record(partition);
+  if (!record.rebuild) return;
+  RebuildOut& out = *record.rebuild;
   // Keep only the stale members; while a member stays listed here, sync
-  // replication legs to it divert behind the stream (MakeReplicaPlan).
+  // replication legs to it divert behind the stream (PlanReplicaLegs).
   out.targets.erase(
       std::remove_if(out.targets.begin(), out.targets.end(),
                      [&stale](const RebuildTarget& t) {
@@ -1352,10 +1350,7 @@ void ZhtServer::BeginRebuildStreams(Shard& shard, PartitionId partition,
                      }),
       out.targets.end());
   if (out.targets.empty()) {
-    auto done = std::move(out.done);
-    Status aggregate = std::move(out.aggregate);
-    shard.rebuild_out.erase(it);
-    if (done) done(std::move(aggregate));
+    FinishRebuild(shard, partition, record);
     return;
   }
   for (RebuildTarget& target : out.targets) {
@@ -1391,11 +1386,9 @@ void ZhtServer::StreamTransfer(Shard& shard, PartitionId partition,
     batch.clear();
     batch_bytes = 0;
   };
-  auto it = shard.stores.find(partition);
-  if (it != shard.stores.end() && it->second) {
-    it->second->ForEach([&](std::string_view k, std::string_view v) {
-      ++digest.count;
-      digest.crc ^= Crc32c(v, Crc32c(k));
+  if (KVStore* store = shard.Record(partition).store.get()) {
+    store->ForEach([&](std::string_view k, std::string_view v) {
+      digest.Add(k, v);
       ++size.pairs;
       size.bytes += k.size() + v.size();
       batch_bytes += k.size() + v.size() + 16;
@@ -1454,9 +1447,9 @@ void ZhtServer::StreamRebuildTarget(Shard& shard, PartitionId partition,
 
 void ZhtServer::FinishRebuildLeg(Shard& shard, PartitionId partition,
                                  InstanceId id, Status status) {
-  auto it = shard.rebuild_out.find(partition);
-  if (it == shard.rebuild_out.end()) return;
-  RebuildOut& out = it->second;
+  Partition& record = shard.Record(partition);
+  if (!record.rebuild) return;
+  RebuildOut& out = *record.rebuild;
   auto target_it =
       std::find_if(out.targets.begin(), out.targets.end(),
                    [id](const RebuildTarget& t) { return t.id == id; });
@@ -1475,12 +1468,7 @@ void ZhtServer::FinishRebuildLeg(Shard& shard, PartitionId partition,
     if (out.aggregate.ok()) out.aggregate = status;
   }
   out.targets.erase(target_it);
-  if (out.targets.empty()) {
-    auto done = std::move(out.done);
-    Status aggregate = std::move(out.aggregate);
-    shard.rebuild_out.erase(it);
-    if (done) done(std::move(aggregate));
-  }
+  if (out.targets.empty()) FinishRebuild(shard, partition, record);
 }
 
 Status ZhtServer::RepairPartition(PartitionId partition) {
@@ -1491,8 +1479,7 @@ Status ZhtServer::RepairPartition(PartitionId partition) {
 PartitionDigest ZhtServer::PartitionDigestOf(PartitionId partition) {
   return Await<PartitionDigest>([&](auto done) {
     Post(ShardForPartition(partition), [partition, done](Shard& sh) {
-      auto it = sh.stores.find(partition);
-      done(DigestOfStore(it != sh.stores.end() ? it->second.get() : nullptr));
+      done(DigestOf(sh.Record(partition).store.get()));
     });
   });
 }
@@ -1503,9 +1490,8 @@ std::vector<std::pair<std::string, std::string>> ZhtServer::PartitionPairs(
   Pairs pairs = Await<Pairs>([&](auto done) {
     Post(ShardForPartition(partition), [partition, done](Shard& sh) {
       Pairs pairs;
-      auto it = sh.stores.find(partition);
-      if (it != sh.stores.end() && it->second) {
-        it->second->ForEach([&pairs](std::string_view k, std::string_view v) {
+      if (KVStore* store = sh.Record(partition).store.get()) {
+        store->ForEach([&pairs](std::string_view k, std::string_view v) {
           pairs.emplace_back(std::string(k), std::string(v));
         });
       }
@@ -1519,7 +1505,7 @@ std::vector<std::pair<std::string, std::string>> ZhtServer::PartitionPairs(
 void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
                               ResponseCallback done) {
   const PartitionId partition = shard.table.PartitionOfKey(request.key);
-  KVStore* store = StoreIn(shard, partition);
+  KVStore* store = StoreIn(shard.Record(partition), partition);
   Status put = store ? store->Put(request.key, request.value)
                      : Status(StatusCode::kInternal, "store factory failed");
   counters_.broadcasts->Increment();
@@ -1546,8 +1532,7 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
   // The hops are queued here, like every lane leg; the reply waits.
   request.server_origin = true;
   for (const NodeAddress& child : children) EnqueueAsyncLeg(request, child);
-  const CommitPoint commit =
-      put.ok() ? CommitPointOf(shard, partition) : CommitPoint{};
+  const std::uint64_t token = put.ok() ? store->last_commit_token() : 0;
   auto fin = [seq = request.seq, put,
               done = std::move(done)](Status durable) mutable {
     Response resp;
@@ -1555,8 +1540,8 @@ void ZhtServer::ExecBroadcast(Shard& shard, Request&& request,
     resp.status = (put.ok() ? durable : put).raw();
     done(std::move(resp));
   };
-  if (commit.token != 0) {
-    commit.store->NotifyDurable(commit.token, std::move(fin));
+  if (token != 0) {
+    store->NotifyDurable(token, std::move(fin));
   } else {
     fin(Status::Ok());
   }
@@ -1765,9 +1750,10 @@ void ZhtServer::ScatterCensus(
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     self->Post(*shards_[s], [gather, s](Shard& sh) {
       ShardCensus& census = gather->per[s];
-      census.held = sh.stores.size();
-      for (const auto& [partition, store] : sh.stores) {
+      for (const Partition& record : sh.partitions) {
+        const KVStore* store = record.store.get();
         if (!store) continue;
+        ++census.held;
         census.entries += store->Size();
         StoreDurabilityMetrics one;
         if (store->durability_metrics(&one)) {

@@ -7,11 +7,13 @@
 // The request API is asynchronous and ownership-routed (DESIGN.md §9):
 // HandleAsync(Request&&, ResponseCallback) routes each request to the shard
 // that owns its partition and completes via callback. A shard owns a
-// disjoint set of partitions end-to-end — stores, membership-table copy,
-// append-dedup window, migration locks — and only ever executes on one
-// thread at a time, so the single-key hot path acquires ZERO mutexes:
-// ingress computes the partition from an immutable PartitionSpace copy and
-// posts a task into the shard's mailbox.
+// disjoint set of partitions end-to-end — one record per partition (its
+// store, migration and transfer marks, landing store and rebuild in
+// flight), a membership-table copy and an append-dedup window — and only
+// ever executes on one thread at a time, so the single-key hot path
+// acquires ZERO mutexes: ingress computes the partition from an immutable
+// PartitionSpace copy and posts a task into the shard's mailbox, and the
+// op finds its partition's record once.
 //
 // Shard mailboxes: one lock-free MPSC queue per shard, drained by
 // whichever thread posts — a reactor, a finisher, a log flusher or a test.
@@ -181,9 +183,10 @@ class ZhtServer {
   // partition transfer, kTransferBegin/Data/End) to each member whose
   // digest mismatches — clean members exchange only digests. `done` fires
   // once, after every leg completed or was abandoned (bounded re-stream
-  // retries on digest mismatch). No-op unless this
-  // instance owns the partition. Safe from any thread; the manager's
-  // kRepair handler acks before the rebuild finishes.
+  // retries on digest mismatch). A call mid-rebuild joins it: the round
+  // re-plans from the chain as it is when it ends, and `done` fires after.
+  // No-op unless this instance owns the partition. Safe from any thread;
+  // the manager's kRepair handler acks before the rebuild finishes.
   void StartRebuild(PartitionId partition, std::function<void(Status)> done);
   // Blocking adapter over StartRebuild (tests/tools): returns when the
   // replication level is actually restored.
@@ -309,11 +312,37 @@ class ZhtServer {
   // chain and is streaming to the targets that mismatched. While a target
   // is listed here, synchronous replication legs to it divert onto the
   // lane so post-snapshot writes land after the stream's End (the lane is
-  // FIFO — that ordering IS the catch-up replay).
+  // FIFO — that ordering IS the catch-up replay). A repair arriving
+  // mid-round sets `again`: the round re-plans from the chain as it is
+  // then, and every queued `done` hears the last round's result.
   struct RebuildOut {
     std::vector<RebuildTarget> targets;
-    std::function<void(Status)> done;
-    Status aggregate;  // first abandoned leg's failure, reported to done
+    std::vector<std::function<void(Status)>> done;
+    Status aggregate;  // the round's first abandoned leg, reported to done
+    bool again = false;
+  };
+
+  // One partition's lifecycle on this instance (§III.C, §III.H), one field
+  // per independent fact: a handed-off partition can receive a rebuild
+  // stream, so both sides' marks may be set at once.
+  struct Partition {
+    std::unique_ptr<KVStore> store;  // the canonical copy; null: not held
+    // Source side: locked mid-migration (data ops answer kMigrating), and
+    // still locked after the stream (`handed_off`) until the table names
+    // the new owner: serving meanwhile would read an erased store and ack
+    // writes the recipient never sees. `had_data`: a former owner left in
+    // the chain then refuses failover reads until a repair streams it back.
+    bool migrating = false;
+    bool handed_off = false;
+    bool had_data = false;
+    // Destination side: between kTransferBegin and kTransferEnd (or after
+    // a hand-off, see ReleaseHandoff) data ops answer kMigrating, so End's
+    // digest check sees exactly the streamed pairs. The stream lands in
+    // `landing`; only a verified End copies it into `store`, so a source
+    // dying mid-stream never costs this instance its existing copy.
+    bool rebuilding = false;
+    std::unique_ptr<KVStore> landing;
+    std::unique_ptr<RebuildOut> rebuild;  // owner side: a round in flight
   };
 
   // One partition-ownership shard: shard s owns every partition p with
@@ -325,32 +354,13 @@ class ZhtServer {
 
     // --- shard-owned state (drain-exclusive, no locks) ---
     MembershipTable table;  // private copy; updated by membership scatter
-    std::unordered_map<PartitionId, std::shared_ptr<KVStore>> stores;
+    // One record per partition of this shard, p at [p / stride], made at
+    // construction (the partition count is fixed forever). Dense: a data
+    // op's lookup never allocates, and a push's pass scans contiguously.
+    std::vector<Partition> partitions;
+    std::size_t stride = 1;  // num_shards()
     std::deque<std::uint64_t> dedup_ring;  // at-most-once append window
     std::unordered_set<std::uint64_t> dedup_set;
-    std::unordered_set<PartitionId> migrating;  // locked mid-migration
-    // Source side: partitions whose outbound stream completed but whose
-    // new ownership this shard has not yet seen in a membership update.
-    // They stay in `migrating` (data ops answer kMigrating) until the
-    // table names the new owner — serving in that window would read an
-    // erased store (NotFound) and ack writes the recipient never sees.
-    // The value records whether the handed-off partition held data: a
-    // former owner staying in the replica chain must then keep refusing
-    // failover reads (rebuilding mark) until the manager-commanded repair
-    // streams it a fresh copy.
-    std::unordered_map<PartitionId, bool> handed_off;
-    // Destination side: partitions between kTransferBegin and kTransferEnd
-    // (or handed off while staying in the chain, see ReleaseHandoff). Data
-    // ops answer kMigrating while set, so the End digest check sees exactly
-    // the streamed pairs (no interleaved writes, no stale reads).
-    std::unordered_set<PartitionId> rebuilding;
-    // Destination side: each in-flight transfer lands in an in-memory
-    // store, created at Begin and dropped at End (or when the mark is
-    // released). Only a verified End copies it into the canonical store, so
-    // a source dying mid-stream never costs this instance its existing copy.
-    std::unordered_map<PartitionId, std::unique_ptr<KVStore>> landing;
-    // Source side: partitions this owner is currently rebuilding.
-    std::unordered_map<PartitionId, RebuildOut> rebuild_out;
     // Hot-key read cache. Fills/invalidations/drops are drain-exclusive
     // (single writer); ingress threads only probe (TryGet), which is why
     // it may be read outside the drain — see hot_key_cache.h.
@@ -371,6 +381,11 @@ class ZhtServer {
 
     Shard(MembershipTable t, std::size_t cache_entries)
         : table(std::move(t)), hot_cache(cache_entries) {}
+
+    // In the table: HandleAsync refuses a message naming one past it.
+    Partition& Record(PartitionId partition) {
+      return partitions[partition / stride];
+    }
   };
 
   // Routing decision for one data op, computed against the shard's table:
@@ -407,17 +422,12 @@ class ZhtServer {
     // The ack waits for the store's durability: an applied mutation, or a
     // retransmitted append whose original may still be in its group commit.
     bool durable_wait = false;
+    // The store to wait for (null: none, or nothing to wait for), set by
+    // the group's drain and valid until that drain returns.
+    KVStore* store = nullptr;
     // Sync legs an applied client mutation owes its replica chain, sent by
     // one pool job before the ack.
     std::vector<ReplicaLeg> sync_legs;
-  };
-
-  // A store and its commit token, which covers every mutation applied to
-  // it so far (token 0: nothing to wait for). Taken in-shard; `store` is
-  // valid until that drain returns.
-  struct CommitPoint {
-    KVStore* store = nullptr;
-    std::uint64_t token = 0;
   };
 
   // Scatter/gather state of one data request: one group per owning shard
@@ -495,30 +505,26 @@ class ZhtServer {
   Response RedirectTo(const Shard& shard, InstanceId owner, std::uint64_t seq,
                       std::uint32_t requester_epoch, bool include_membership);
   bool IsDuplicateAppend(Shard& shard, const Request& request);
-  Status ApplyToStore(Shard& shard, OpCode op, PartitionId partition,
-                      std::string_view key, std::string_view value,
-                      std::string* out);
-  KVStore* StoreIn(Shard& shard, PartitionId partition);  // creates on demand
-  static CommitPoint CommitPointOf(const Shard& shard, PartitionId partition);
-  // Drops destination-side transfer marks (and landing stores) for
-  // partitions this instance now owns: the stream that fed them is moot
-  // (its source lost ownership, or died), and the canonical store — never
-  // wiped mid-stream — is the copy promotion elected. Called after every
-  // membership update.
-  void ReleaseStuckRebuilds(Shard& shard);
-  // Lifts the source-side migration lock for handed-off partitions once a
-  // membership update names their new owner (subsequent requests redirect).
-  void ReleaseCompletedHandoffs(Shard& shard);
+  // The record's canonical store, opened on demand (null if the factory
+  // fails; the next call tries again).
+  KVStore* StoreIn(Partition& record, PartitionId partition);
   // The legs an applied client mutation owes its replica chain (rotated to
   // lead with this instance for a failover write): returns the sync ones
-  // and adds the rest — legs past the secondary and to members mid-rebuild
-  // — to `lane`.
+  // and adds the rest — legs past the secondary and to members of
+  // `rebuild`'s round — to `lane`.
   std::vector<ReplicaLeg> PlanReplicaLegs(const Shard& shard,
                                           const Request& request,
                                           const DataRoute& route,
+                                          const RebuildOut* rebuild,
                                           LegGroups* lane) const;
 
   void StartMembershipPush(Request&& request, ResponseCallback done);
+  // In-shard, on every shard per push: applies it, then one pass over the
+  // records drops the transfer mark and landing store of a partition this
+  // instance now owns (the stream is moot; the canonical store is the copy
+  // promotion elected) and releases a handed-off partition whose new owner
+  // the table names (ReleaseHandoff).
+  Status ApplyMembershipPush(Shard& shard, const std::string& payload);
   void ExecBroadcast(Shard& shard, Request&& request, ResponseCallback done);
   // --- partition transfer, rebuild / anti-entropy ---
   // Destination handlers (in-shard), shared by migration and rebuild.
@@ -546,6 +552,12 @@ class ZhtServer {
   // subset back into the shard.
   void ProbeRebuildTargets(PartitionId partition, PartitionDigest mine,
                            std::vector<RebuildTarget> targets);
+  // In-shard: plans a round of `record.rebuild` from the chain as the
+  // table has it now and starts its probes, or finishes it.
+  void PlanRebuild(Shard& shard, PartitionId partition, Partition& record);
+  // In-shard: the round is over; re-plans if a repair arrived meanwhile,
+  // otherwise reports to every queued done.
+  void FinishRebuild(Shard& shard, PartitionId partition, Partition& record);
   // In-shard: drop clean targets, stream to the stale ones (or finish).
   void BeginRebuildStreams(Shard& shard, PartitionId partition,
                            std::vector<InstanceId> stale);
@@ -555,20 +567,18 @@ class ZhtServer {
                            RebuildTarget& target);
   void FinishRebuildLeg(Shard& shard, PartitionId partition, InstanceId id,
                         Status status);
-  // In-shard digest of the partition's store ({0, 0} when absent).
-  static PartitionDigest DigestOfStore(const KVStore* store);
   // Marks `partition` migrating in its shard, then StreamTransfer()s it to
   // `target`; End's result posts FinishMigrateOut back to the shard.
   void StartMigrateOut(PartitionId partition, const NodeAddress& target,
                        std::function<void(Status)> done);
-  void FinishMigrateOut(PartitionId partition, Status status, bool had_data,
+  void FinishMigrateOut(PartitionId partition, Status status,
                         std::function<void(Status)> done);
   // Drops the source-side migration lock once the new owner is in the
-  // table. A former owner that stays in the partition's replica chain
-  // re-enters service via the rebuilding mark instead: its store was
-  // erased by the handoff, so it must refuse failover reads until the
-  // repair stream delivers a fresh copy.
-  void ReleaseHandoff(Shard& shard, PartitionId partition, bool had_data);
+  // table. A former owner that stays in the partition's replica chain and
+  // handed data off re-enters service via the rebuilding mark instead: its
+  // store was erased by the handoff, so it must refuse failover reads until
+  // the repair stream delivers a fresh copy.
+  void ReleaseHandoff(Shard& shard, PartitionId partition, Partition& record);
 
   // Scatters a census task across every shard; `done` runs on the shard
   // that finishes last (or inline when a shard chain completes inline).

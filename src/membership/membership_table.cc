@@ -116,38 +116,6 @@ std::optional<InstanceId> MembershipTable::FindByAddress(
   return std::nullopt;
 }
 
-std::optional<InstanceId> MembershipTable::MostLoaded() const {
-  std::vector<std::uint32_t> counts(instances_.size(), 0);
-  for (InstanceId owner : partition_owner_) ++counts[owner];
-  std::optional<InstanceId> best;
-  std::uint32_t best_count = 0;
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (!instances_[i].alive) continue;
-    if (!best || counts[i] > best_count) {
-      best = static_cast<InstanceId>(i);
-      best_count = counts[i];
-    }
-  }
-  return best;
-}
-
-std::optional<InstanceId> MembershipTable::LeastLoaded(
-    std::optional<InstanceId> excluding) const {
-  std::vector<std::uint32_t> counts(instances_.size(), 0);
-  for (InstanceId owner : partition_owner_) ++counts[owner];
-  std::optional<InstanceId> best;
-  std::uint32_t best_count = 0;
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (!instances_[i].alive) continue;
-    if (excluding && *excluding == i) continue;
-    if (!best || counts[i] < best_count) {
-      best = static_cast<InstanceId>(i);
-      best_count = counts[i];
-    }
-  }
-  return best;
-}
-
 void MembershipTable::RecordChange(Change change) {
   changelog_.push_back(std::move(change));
   if (changelog_.size() > kMaxChangelog) {

@@ -81,12 +81,6 @@ class MembershipTable {
   // Instance registered at `address`, if any (rejoin detection).
   std::optional<InstanceId> FindByAddress(const NodeAddress& address) const;
 
-  // Instance with the most partitions (join target, §III.C) and fewest
-  // (departure target). Dead instances excluded.
-  std::optional<InstanceId> MostLoaded() const;
-  std::optional<InstanceId> LeastLoaded(
-      std::optional<InstanceId> excluding = std::nullopt) const;
-
   // ---- Mutation (each call bumps the epoch) ----------------------------
 
   InstanceId AddInstance(const NodeAddress& address,

@@ -54,14 +54,6 @@ inline Response CallBlocking(const AsyncRequestHandler& handler,
   });
 }
 
-// Adapts an asynchronous handler back to the synchronous signature (the
-// thin blocking shim tests and the thread-per-connection server use).
-inline RequestHandler ToBlocking(AsyncRequestHandler handler) {
-  return [handler = std::move(handler)](Request&& request) {
-    return CallBlocking(handler, std::move(request));
-  };
-}
-
 // Client-side synchronous RPC. Implementations used as server peer links
 // (replication, migration) are called from every reactor plus the async-
 // replication worker, so the bundled transports are thread-safe: TcpClient

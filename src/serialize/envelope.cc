@@ -1,5 +1,6 @@
 #include "serialize/envelope.h"
 
+#include "common/crc32.h"
 #include "serialize/wire.h"
 
 namespace zht {
@@ -53,6 +54,13 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kTransferEnd: return "TRANSFER_END";
   }
   return "UNKNOWN";
+}
+
+void PartitionDigest::Add(std::string_view key, std::string_view value) {
+  ++count;
+  // Chain the key's CRC into the value's seed so the pair hashes as a unit
+  // ((ab, c) and (a, bc) differ); XOR keeps the fold order-free.
+  crc ^= Crc32c(value, Crc32c(key));
 }
 
 std::string PartitionDigest::Encode() const {

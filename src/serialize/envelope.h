@@ -45,6 +45,9 @@ struct PartitionDigest {
   std::uint64_t count = 0;  // live pairs
   std::uint32_t crc = 0;    // XOR of per-pair CRC32Cs
 
+  // Folds one pair in; the one definition of a pair's contribution.
+  void Add(std::string_view key, std::string_view value);
+
   std::string Encode() const;
   static Result<PartitionDigest> Decode(std::string_view data);
 

@@ -331,6 +331,19 @@ TEST(ZhtCoreTest, MembershipRefreshPullsTable) {
   EXPECT_EQ(client->table().instance_count(), 3u);
 }
 
+// Without a source, a refresh pulls from the first alive instance the
+// client's table lists, not from instance 0 whatever its state.
+TEST(ZhtCoreTest, MembershipRefreshSkipsADeadInstanceZero) {
+  auto cluster = LocalCluster::Start(SmallCluster(4, /*replicas=*/1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  (*cluster)->KillInstance(0);
+  ASSERT_TRUE((*cluster)->manager(0)->HandleFailure(0).ok());
+  auto client = (*cluster)->CreateClient();
+  ASSERT_FALSE(client->table().Instance(0).alive);
+  Status refreshed = client->RefreshMembership();
+  EXPECT_TRUE(refreshed.ok()) << refreshed.ToString();
+}
+
 TEST(ZhtCoreTest, ClusterRunsOverRealTcp) {
   LocalClusterOptions options = SmallCluster(3, /*replicas=*/1);
   options.transport = ClusterTransport::kTcp;

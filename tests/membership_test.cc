@@ -97,15 +97,6 @@ TEST(MembershipTest, ReplicaChainCapsAtAvailableNodes) {
   EXPECT_EQ(chain.size(), 2u);
 }
 
-TEST(MembershipTest, MostAndLeastLoaded) {
-  auto table = MembershipTable::CreateUniform(16, Addresses(4));
-  // Move partitions 0..3 from instance 0 to instance 1: 1 has 8, 0 has 0.
-  for (PartitionId p = 0; p < 4; ++p) table.SetOwner(p, 1);
-  EXPECT_EQ(*table.MostLoaded(), 1u);
-  EXPECT_EQ(*table.LeastLoaded(), 0u);
-  EXPECT_EQ(*table.LeastLoaded(/*excluding=*/0u), 2u);
-}
-
 TEST(MembershipTest, EpochBumpsOnEveryMutation) {
   auto table = MembershipTable::CreateUniform(16, Addresses(2));
   std::uint32_t e = table.epoch();

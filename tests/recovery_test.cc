@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -360,6 +361,62 @@ TEST(RecoveryTest, AntiEntropyCleanReplicasMoveNoPairData) {
   EXPECT_EQ(after.started, before.started);
   EXPECT_EQ(after.pairs, before.pairs);
   EXPECT_EQ(after.retries, before.retries);
+}
+
+// A repair that reaches the owner while a rebuild of the same partition is
+// still probing is coalesced, not dropped: when the round in flight ends,
+// the owner re-plans from the chain as it is then, so the member that
+// entered the chain meanwhile receives the partition.
+TEST(RecoveryTest, RepairArrivingMidRebuildReplansForTheNewChain) {
+  LocalClusterOptions options;
+  options.num_instances = 3;
+  options.cluster.num_replicas = 1;
+  options.fault_plan = std::make_shared<FaultPlan>(/*seed=*/23);
+  auto cluster = LocalCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  MembershipTable table = (*cluster)->TableSnapshot();
+  std::optional<PartitionId> partition;
+  for (PartitionId p = 0; p < table.num_partitions() && !partition; ++p) {
+    if (table.ReplicaChain(p, 1) == std::vector<InstanceId>{0, 1}) {
+      partition = p;
+    }
+  }
+  ASSERT_TRUE(partition.has_value());
+  const PartitionId p = *partition;
+
+  auto client = (*cluster)->CreateClient(RecoveryClient());
+  int written = 0;
+  for (int i = 0; written < 20 && i < 100000; ++i) {
+    const std::string key = "mid" + std::to_string(i);
+    if (table.PartitionOfKey(key) != p) continue;
+    ASSERT_TRUE(client->Insert(key, "v" + std::to_string(i)).ok());
+    ++written;
+  }
+  ASSERT_EQ(written, 20);
+  (*cluster)->FlushAllAsyncReplication();
+
+  // The first round's probe of instance 1 waits 400 ms. Meanwhile the
+  // manager evicts instance 1: the chain becomes [0, 2], and its repair
+  // command reaches instance 0 mid-probe.
+  options.fault_plan->AddRule({.kind = FaultKind::kDelay,
+                               .to = (*cluster)->instance_address(1),
+                               .op = OpCode::kDigest,
+                               .delay = 400 * kNanosPerMilli});
+  Request repair;
+  repair.op = OpCode::kRepair;
+  repair.partition = p;
+  repair.server_origin = true;
+  ASSERT_TRUE((*cluster)->server(0)->Handle(std::move(repair)).ok());
+  ASSERT_TRUE((*cluster)->manager(0)->HandleFailure(1).ok());
+  for (int round = 0; round < 4; ++round) {
+    (*cluster)->FlushAllAsyncReplication();
+  }
+
+  const PartitionDigest owner = (*cluster)->server(0)->PartitionDigestOf(p);
+  EXPECT_EQ(owner.count, 20u);
+  const PartitionDigest joined = (*cluster)->server(2)->PartitionDigestOf(p);
+  EXPECT_EQ(joined.count, owner.count);
+  EXPECT_TRUE(joined == owner);
 }
 
 }  // namespace

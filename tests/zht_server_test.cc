@@ -246,6 +246,28 @@ TEST_F(ZhtServerUnitTest, SecondMigrationOfSamePartitionWhileActiveFails) {
   EXPECT_EQ(resp.value, "v");
 }
 
+// A partition-addressed message naming a partition past the table is
+// malformed: it is refused, and no record or landing store is made for it.
+TEST_F(ZhtServerUnitTest, PartitionPastTheTableIsRefused) {
+  auto server = MakeServer(0);
+  for (OpCode op : {OpCode::kMigrateOut, OpCode::kRepair, OpCode::kDigest,
+                    OpCode::kTransferBegin, OpCode::kTransferData,
+                    OpCode::kTransferEnd}) {
+    Request request;
+    request.op = op;
+    request.seq = ++seq_;
+    request.partition = table_.num_partitions();
+    request.server_origin = true;
+    if (op == OpCode::kMigrateOut) request.value = addresses_[1].ToString();
+    Response resp = server->Handle(std::move(request));
+    EXPECT_EQ(resp.status, Status(StatusCode::kInvalidArgument).raw())
+        << OpCodeName(op);
+  }
+  std::string key = KeyOwnedBy(0);
+  EXPECT_TRUE(server->Handle(DataRequest(OpCode::kInsert, key, "v")).ok());
+  EXPECT_EQ(server->Handle(DataRequest(OpCode::kLookup, key)).value, "v");
+}
+
 TEST_F(ZhtServerUnitTest, DuplicateAppendDroppedOnce) {
   auto server = MakeServer(0);
   std::string key = KeyOwnedBy(0);
