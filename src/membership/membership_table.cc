@@ -1,7 +1,6 @@
 #include "membership/membership_table.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "serialize/wire.h"
 
@@ -78,15 +77,18 @@ std::vector<InstanceId> MembershipTable::ReplicaChain(PartitionId p,
   chain.push_back(owner);
   if (num_replicas <= 0) return chain;
 
-  std::unordered_set<std::uint32_t> used_nodes{
-      instances_[owner].physical_node};
+  // The chain holds at most num_replicas + 1 members, so a linear scan of
+  // their physical nodes beats building a set on every data op.
   const std::size_t k = instances_.size();
   for (std::size_t step = 1; step < k && static_cast<int>(chain.size()) - 1 <
                                              num_replicas; ++step) {
     const InstanceInfo& candidate = instances_[(owner + step) % k];
     if (!candidate.alive) continue;
-    if (used_nodes.count(candidate.physical_node)) continue;
-    used_nodes.insert(candidate.physical_node);
+    const bool node_used =
+        std::any_of(chain.begin(), chain.end(), [&](InstanceId member) {
+          return instances_[member].physical_node == candidate.physical_node;
+        });
+    if (node_used) continue;
     chain.push_back(candidate.id);
   }
   return chain;

@@ -138,11 +138,18 @@ Status EpollServer::Setup() {
 
 EpollServer::~EpollServer() {
   Stop();
+  // A completion still in flight holds its connection's record: mark each
+  // closed before its fd goes.
+  auto close_record = [](Connection& conn) {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    conn.open = false;
+    ::close(conn.fd);
+  };
   for (auto& r : reactors_) {
-    for (auto& [fd, conn] : r->connections) ::close(fd);
+    for (auto& [fd, conn] : r->connections) close_record(*conn);
     {
       std::lock_guard<std::mutex> lock(r->handoff_mu);
-      for (auto& [fd, conn] : r->handoff) ::close(fd);
+      for (auto& conn : r->handoff) close_record(*conn);
       r->handoff.clear();
     }
     if (r->wake_fd >= 0) ::close(r->wake_fd);
@@ -175,7 +182,6 @@ void EpollServer::Stop() {
 }
 
 void EpollServer::Loop(Reactor& r) {
-  r.thread_id = std::this_thread::get_id();
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_relaxed)) {
@@ -209,11 +215,8 @@ void EpollServer::Loop(Reactor& r) {
         continue;
       }
       if (mask & EPOLLIN) HandleReadable(r, fd);
-      if (r.connections.count(fd) && (mask & EPOLLOUT)) HandleWritable(r, fd);
+      if (mask & EPOLLOUT) HandleWritable(r, fd);
     }
-    // Responses that completed on other threads (flusher, finisher, another
-    // reactor's shard drain) since the last pass.
-    DrainCompletions(r);
   }
 }
 
@@ -231,8 +234,8 @@ void EpollServer::AcceptAll() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
 
-    Connection conn;
-    conn.id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
 
     // Round-robin distribution: reactor 0 adopts its own share directly;
     // every other reactor gets the fd through its handoff queue and is
@@ -241,6 +244,7 @@ void EpollServer::AcceptAll() {
     ++next_reactor_;
     target.assigned.fetch_add(1, std::memory_order_relaxed);
     if (&target == &r0) {
+      conn->epoll_fd = r0.epoll_fd;
       r0.connections.emplace(fd, std::move(conn));
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -249,7 +253,7 @@ void EpollServer::AcceptAll() {
     } else {
       {
         std::lock_guard<std::mutex> lock(target.handoff_mu);
-        target.handoff.emplace_back(fd, std::move(conn));
+        target.handoff.push_back(std::move(conn));
       }
       std::uint64_t one_ev = 1;
       [[maybe_unused]] ssize_t n =
@@ -259,12 +263,17 @@ void EpollServer::AcceptAll() {
 }
 
 void EpollServer::AdoptHandoff(Reactor& r) {
-  std::vector<std::pair<int, Connection>> adopted;
+  std::vector<std::shared_ptr<Connection>> adopted;
   {
     std::lock_guard<std::mutex> lock(r.handoff_mu);
     adopted.swap(r.handoff);
   }
-  for (auto& [fd, conn] : adopted) {
+  for (auto& conn : adopted) {
+    const int fd = conn->fd;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      conn->epoll_fd = r.epoll_fd;
+    }
     r.connections.emplace(fd, std::move(conn));
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -277,15 +286,6 @@ void EpollServer::AdoptHandoff(Reactor& r) {
   }
 }
 
-void EpollServer::DrainCompletions(Reactor& r) {
-  std::vector<std::function<void()>> done;
-  {
-    std::lock_guard<std::mutex> lock(r.done_mu);
-    done.swap(r.done);
-  }
-  for (auto& fn : done) fn();
-}
-
 void EpollServer::HandleReadable(Reactor& r, int fd) {
   auto it = r.connections.find(fd);
   if (it == r.connections.end()) return;
@@ -293,7 +293,10 @@ void EpollServer::HandleReadable(Reactor& r, int fd) {
   for (;;) {
     ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n > 0) {
-      it->second.in.append(buf, static_cast<std::size_t>(n));
+      it->second->in.append(buf, static_cast<std::size_t>(n));
+      // A short read drained the socket; the set is level-triggered, so
+      // bytes that arrive later are reported again.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {  // peer closed
@@ -312,14 +315,14 @@ void EpollServer::MoveConnection(Reactor& r, int fd, std::size_t rewind_offset,
                                  Reactor& target) {
   auto it = r.connections.find(fd);
   if (it == r.connections.end()) return;
-  Connection moved = std::move(it->second);
-  moved.in_offset = rewind_offset;  // target re-decodes the triggering frame
+  std::shared_ptr<Connection> moved = std::move(it->second);
+  moved->in_offset = rewind_offset;  // target re-decodes the triggering frame
   ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   r.connections.erase(it);
   connections_rehomed_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(target.handoff_mu);
-    target.handoff.emplace_back(fd, std::move(moved));
+    target.handoff.push_back(std::move(moved));
   }
   std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(target.wake_fd, &one, sizeof(one));
@@ -328,36 +331,37 @@ void EpollServer::MoveConnection(Reactor& r, int fd, std::size_t rewind_offset,
 void EpollServer::ProcessBuffered(Reactor& r, int fd) {
   // Frames are consumed through the connection's cursor (no per-frame
   // erase); the buffer compacts once after the drain. `handler_` may be
-  // reentrant (it can stop the server, complete inline — growing this
-  // connection's out buffer — or, indirectly, grow this reactor's
-  // connection map, rehashing it), so no reference into the map is held
-  // across a handler call: the connection is re-found — and the reference
-  // re-bound — after every request.
+  // reentrant (it can stop the server, complete inline, or, indirectly,
+  // grow this reactor's connection map, rehashing it), so the drain holds
+  // the connection's record, not a reference into the map.
+  auto it = r.connections.find(fd);
+  if (it == r.connections.end()) return;
+  const std::shared_ptr<Connection> conn = it->second;
   bool malformed = false;
   for (;;) {
-    auto it = r.connections.find(fd);
-    if (it == r.connections.end()) return;
-    Connection& conn = it->second;
-    const std::size_t pre_offset = conn.in_offset;
-    auto payload = ExtractFrameAt(conn.in, &conn.in_offset, &malformed);
+    const std::size_t pre_offset = conn->in_offset;
+    auto payload = ExtractFrameAt(conn->in, &conn->in_offset, &malformed);
     if (!payload) break;
-    auto request = Request::Decode(*payload);  // copies out of conn.in
+    auto request = Request::Decode(*payload);  // copies out of conn->in
     if (!request.ok()) {
       Response response;
       response.status = Status(StatusCode::kCorruption).raw();
-      const std::uint64_t slot = conn.next_slot++;
-      CompleteLocal(r, fd, conn.id, slot, FrameMessage(response.Encode()));
+      Complete(*conn, conn->next_slot++, FrameMessage(response.Encode()));
       continue;
     }
-    if (!conn.placed) {
-      conn.placed = true;
+    if (!conn->placed) {
+      conn->placed = true;
       if (placement_) {
         int preferred = placement_(*request);
+        bool idle = false;
+        {
+          std::lock_guard<std::mutex> lock(conn->mu);
+          idle = conn->out.empty() && conn->parked.empty() &&
+                 conn->next_slot == conn->flushed_slot;
+        }
         if (preferred >= 0 &&
             preferred < static_cast<int>(reactors_.size()) &&
-            preferred != r.index && conn.out.empty() &&
-            conn.out_offset == 0 && conn.parked.empty() &&
-            conn.next_slot == conn.flushed_slot) {
+            preferred != r.index && idle) {
           // Re-home the whole connection to the reactor that owns this
           // request's partition; it will re-decode this frame itself.
           MoveConnection(r, fd, pre_offset, *reactors_[preferred]);
@@ -365,66 +369,37 @@ void EpollServer::ProcessBuffered(Reactor& r, int fd) {
         }
       }
     }
-    const std::uint64_t slot = conn.next_slot++;
-    const std::uint64_t conn_id = conn.id;
+    const std::uint64_t slot = conn->next_slot++;
     requests_served_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t reactor_index = static_cast<std::size_t>(r.index);
-    handler_(std::move(*request),
-             [this, reactor_index, fd, conn_id, slot](Response&& response) {
-               CompleteResponse(reactor_index, fd, conn_id, slot,
-                                std::move(response));
-             });
+    handler_(std::move(*request), [conn, slot](Response&& response) {
+      Complete(*conn, slot, FrameMessage(response.Encode()));
+    });
   }
-  auto it = r.connections.find(fd);
-  if (it == r.connections.end()) return;
   if (malformed) {
     CloseConnection(r, fd);
     return;
   }
-  Connection& conn = it->second;
-  if (conn.in_offset > 0) {
-    conn.in.erase(0, conn.in_offset);
-    conn.in_offset = 0;
+  if (conn->in_offset > 0) {
+    conn->in.erase(0, conn->in_offset);
+    conn->in_offset = 0;
   }
-  if (!conn.out.empty()) HandleWritable(r, fd);
 }
 
-void EpollServer::CompleteResponse(std::size_t reactor, int fd,
-                                   std::uint64_t conn_id, std::uint64_t slot,
-                                   Response&& response) {
-  Reactor& r = *reactors_[reactor];
-  std::string encoded = FrameMessage(response.Encode());
-  // Inline when already on the owning reactor's thread (the hot path: the
-  // handler completed synchronously inside ProcessBuffered) and when the
-  // loops are not running (tests drive ProcessBuffered directly).
-  if (std::this_thread::get_id() == r.thread_id ||
-      !running_.load(std::memory_order_acquire)) {
-    CompleteLocal(r, fd, conn_id, slot, std::move(encoded));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(r.done_mu);
-    r.done.push_back([this, &r, fd, conn_id, slot,
-                      encoded = std::move(encoded)]() mutable {
-      CompleteLocal(r, fd, conn_id, slot, std::move(encoded));
-    });
-  }
-  std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(r.wake_fd, &one, sizeof(one));
-}
-
-void EpollServer::CompleteLocal(Reactor& r, int fd, std::uint64_t conn_id,
-                                std::uint64_t slot, std::string encoded) {
-  auto it = r.connections.find(fd);
-  // The connection may have died (or the fd been recycled for a new one)
-  // while its response was in flight: drop the orphaned completion.
-  if (it == r.connections.end() || it->second.id != conn_id) return;
-  Connection& conn = it->second;
+void EpollServer::Complete(Connection& conn, std::uint64_t slot,
+                           std::string encoded) {
+  std::lock_guard<std::mutex> lock(conn.mu);
+  // The connection may have died (and its fd been recycled) while this
+  // response was in flight: drop the orphaned completion.
+  if (!conn.open) return;
   if (slot != conn.flushed_slot) {
     conn.parked.emplace(slot, std::move(encoded));  // out-of-order: park
     return;
   }
-  conn.out += encoded;
+  if (conn.out.empty()) {
+    conn.out = std::move(encoded);
+  } else {
+    conn.out += encoded;
+  }
   ++conn.flushed_slot;
   // Drain any successors that completed early and parked behind this slot.
   for (auto parked = conn.parked.find(conn.flushed_slot);
@@ -434,39 +409,57 @@ void EpollServer::CompleteLocal(Reactor& r, int fd, std::uint64_t conn_id,
     conn.parked.erase(parked);
     ++conn.flushed_slot;
   }
-  HandleWritable(r, fd);
+  // With EPOLLOUT armed the socket is full and the reactor sends the rest.
+  if (!conn.want_write) SendLocked(conn);
 }
 
-void EpollServer::HandleWritable(Reactor& r, int fd) {
-  auto it = r.connections.find(fd);
-  if (it == r.connections.end()) return;
-  Connection& conn = it->second;
+void EpollServer::SendLocked(Connection& conn) {
   while (conn.out_offset < conn.out.size()) {
     // MSG_NOSIGNAL: a client that already closed must cost one
     // connection (EPIPE), not the process (SIGPIPE).
-    ssize_t n = ::send(fd, conn.out.data() + conn.out_offset,
+    ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_offset,
                        conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
     if (n > 0) {
       conn.out_offset += static_cast<std::size_t>(n);
       continue;
     }
+    if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLOUT;
-      ev.data.fd = fd;
-      ::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, fd, &ev);
+      if (!conn.want_write) {
+        conn.want_write = true;
+        epoll_event ev{};
+        ev.events = EPOLLIN | EPOLLOUT;
+        ev.data.fd = conn.fd;
+        ::epoll_ctl(conn.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+      }
       return;
     }
-    if (errno == EINTR) continue;
-    CloseConnection(r, fd);
+    // Only the owning reactor closes the fd (it also owns the connection
+    // map); shutting the socket down reports a hangup to it.
+    conn.open = false;
+    ::shutdown(conn.fd, SHUT_RDWR);
+    conn.out.clear();
+    conn.out_offset = 0;
+    conn.parked.clear();
     return;
   }
   conn.out.clear();
   conn.out_offset = 0;
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  ::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, fd, &ev);
+  if (conn.want_write) {
+    conn.want_write = false;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = conn.fd;
+    ::epoll_ctl(conn.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  }
+}
+
+void EpollServer::HandleWritable(Reactor& r, int fd) {
+  auto it = r.connections.find(fd);
+  if (it == r.connections.end()) return;
+  Connection& conn = *it->second;
+  std::lock_guard<std::mutex> lock(conn.mu);
+  if (conn.open) SendLocked(conn);
 }
 
 void EpollServer::HandleUdp() {
@@ -504,9 +497,15 @@ void EpollServer::HandleUdp() {
 }
 
 void EpollServer::CloseConnection(Reactor& r, int fd) {
-  ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  r.connections.erase(fd);
+  auto it = r.connections.find(fd);
+  if (it == r.connections.end()) return;
+  {
+    std::lock_guard<std::mutex> lock(it->second->mu);
+    it->second->open = false;
+    ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+    ::close(fd);
+  }
+  r.connections.erase(it);
 }
 
 }  // namespace zht

@@ -9,16 +9,22 @@
 //    round-robin and handed off through a per-reactor eventfd + queue;
 //  - the UDP socket is owned by one designated reactor (the last), so
 //    datagram reads never race (response sendto is per-datagram atomic);
-//  - each connection lives on exactly one reactor at a time, so the
-//    read/decode/dispatch/write path touches no shared mutable state.
+//  - each connection lives on exactly one reactor at a time, which alone
+//    reads, decodes and dispatches its requests.
 //
 // The request path is asynchronous: decoded requests are dispatched through
 // an AsyncRequestHandler and the response arrives later via callback. A
 // connection pipelines many requests; responses are written back in request
 // order through per-connection completion slots (out-of-order completions
-// park until their turn). Callbacks that fire on a different thread than
-// the owning reactor are marshalled through a per-reactor completion queue
-// drained by that reactor's loop.
+// park until their turn). Each connection is a shared record: its reactor
+// owns the input side, and a per-connection mutex guards the output side
+// (the `out` buffer, the flushed slot, the parked responses and whether
+// EPOLLOUT is armed). Whichever thread completes a response — the reactor
+// inline, a log flusher, a finisher — frames it into its slot and sends
+// what is now in order itself; only on a full socket buffer does it arm
+// EPOLLOUT in the owner's epoll set, and the owning reactor sends the rest.
+// The connection mutex is a leaf: it is taken under any lock and holds
+// none (DESIGN.md §9).
 //
 // Partition-affine routing: an optional placement function inspects the
 // first request decoded on a connection and, if it prefers a different
@@ -121,48 +127,54 @@ class EpollServer {
  private:
   EpollServer(EpollServerOptions options, AsyncRequestHandler handler);
 
+  // One client connection, shared by its reactor and by the callbacks of
+  // its requests in flight, so a late completion finds the record even
+  // after the connection closed.
   struct Connection {
+    int fd = -1;
+    // Input side: touched only by the owning reactor's thread.
     std::string in;
-    std::size_t in_offset = 0;  // consumed-frame cursor into `in`
+    std::size_t in_offset = 0;    // consumed-frame cursor into `in`
+    std::uint64_t next_slot = 0;  // next request's slot
+    bool placed = false;          // placement consulted for this connection
+
+    // Output side, guarded by `mu`. Requests are assigned slots in arrival
+    // order; responses are framed into `out` strictly by slot. A completion
+    // for a slot ahead of `flushed_slot` parks until the gap fills.
+    std::mutex mu;
+    int epoll_fd = -1;  // the owning reactor's set (set at adoption)
     std::string out;
     std::size_t out_offset = 0;
-    // Pipelining bookkeeping: requests are assigned slots in arrival order;
-    // responses are framed into `out` strictly by slot. A completion for a
-    // slot ahead of `flushed_slot` parks until the gap fills.
-    std::uint64_t id = 0;            // guards against fd reuse
-    std::uint64_t next_slot = 0;     // next request's slot
     std::uint64_t flushed_slot = 0;  // first slot not yet framed
     std::unordered_map<std::uint64_t, std::string> parked;
-    bool placed = false;  // placement consulted for this connection
+    bool want_write = false;  // EPOLLOUT armed: the reactor sends the rest
+    // False once the fd is closed or shut down after a failed send: later
+    // completions are dropped and never touch a recycled fd.
+    bool open = true;
   };
 
   // One event loop: epoll fd + wake eventfd + the connections it owns.
-  // Everything except `handoff` and `done` is touched only by this
-  // reactor's thread.
+  // Everything except `handoff` and the connections' output sides is
+  // touched only by this reactor's thread.
   struct Reactor {
     int index = 0;
     int epoll_fd = -1;
     int wake_fd = -1;
     std::thread thread;
-    std::thread::id thread_id;  // set by Loop on entry
-    std::unordered_map<int, Connection> connections;
+    std::unordered_map<int, std::shared_ptr<Connection>> connections;
     std::atomic<std::uint64_t> assigned{0};
-    // Accepted or re-homed fds (with any buffered state) parked here until
-    // this reactor adopts them.
+    // Accepted or re-homed connections (with any buffered state) parked
+    // here until this reactor adopts them.
     std::mutex handoff_mu;
-    std::vector<std::pair<int, Connection>> handoff;
-    // Cross-thread response completions, drained by this reactor's loop.
-    std::mutex done_mu;
-    std::vector<std::function<void()>> done;
+    std::vector<std::shared_ptr<Connection>> handoff;
   };
 
   Status Setup();
   void Loop(Reactor& r);
   void AcceptAll();           // reactor 0 only
   void AdoptHandoff(Reactor& r);
-  void DrainCompletions(Reactor& r);
   void HandleReadable(Reactor& r, int fd);
-  void HandleWritable(Reactor& r, int fd);
+  void HandleWritable(Reactor& r, int fd);  // on EPOLLOUT
   void HandleUdp();           // UDP reactor only
   void CloseConnection(Reactor& r, int fd);
   void ProcessBuffered(Reactor& r, int fd);
@@ -170,14 +182,15 @@ class EpollServer {
   // rewound to `rewind_offset`) on `target`'s handoff queue.
   void MoveConnection(Reactor& r, int fd, std::size_t rewind_offset,
                       Reactor& target);
-  // Frames `encoded` into the connection's slot, draining any consecutive
-  // parked successors; must run on the owning reactor's thread.
-  void CompleteLocal(Reactor& r, int fd, std::uint64_t conn_id,
-                     std::uint64_t slot, std::string encoded);
-  // Routes a completion to the owning reactor: inline when already on its
-  // thread, else through its done queue + eventfd.
-  void CompleteResponse(std::size_t reactor, int fd, std::uint64_t conn_id,
-                        std::uint64_t slot, Response&& response);
+  // Frames `encoded` into the connection's slot, drains any consecutive
+  // parked successors and sends what is in order. Runs on whichever thread
+  // completes the response.
+  static void Complete(Connection& conn, std::uint64_t slot,
+                       std::string encoded);
+  // Sends `out` until it is empty or the socket is full (then arms
+  // EPOLLOUT); a failed send shuts the socket down, and its reactor closes
+  // it on the hangup. The caller holds conn.mu.
+  static void SendLocked(Connection& conn);
 
   friend struct EpollServerTestPeer;  // reaches ProcessBuffered in tests
 
@@ -192,7 +205,6 @@ class EpollServer {
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::size_t next_reactor_ = 0;  // acceptor's round-robin cursor
-  std::atomic<std::uint64_t> next_conn_id_{1};
 
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_served_{0};

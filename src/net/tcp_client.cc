@@ -18,11 +18,23 @@
 namespace zht {
 namespace {
 
-// Blocking-with-deadline write of the whole buffer.
+// Blocking-with-deadline write of the whole buffer. Sends first and polls
+// only when the socket buffer is full: a request frame almost always fits.
 Status WriteWithDeadline(int fd, std::string_view data, const Clock& clock,
                          Nanos deadline) {
   std::size_t written = 0;
   while (written < data.size()) {
+    ssize_t n = ::send(fd, data.data() + written, data.size() - written,
+                       MSG_NOSIGNAL);
+    if (n >= 0) {
+      written += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return Status(StatusCode::kNetwork,
+                    std::string("send: ") + std::strerror(errno));
+    }
     Nanos remaining = deadline - clock.Now();
     if (remaining <= 0) return Status(StatusCode::kTimeout, "write timeout");
     pollfd pfd{fd, POLLOUT, 0};
@@ -30,15 +42,6 @@ Status WriteWithDeadline(int fd, std::string_view data, const Clock& clock,
     if (pr < 0 && errno != EINTR) {
       return Status(StatusCode::kNetwork, "poll failed");
     }
-    if (pr <= 0) continue;
-    ssize_t n = ::send(fd, data.data() + written, data.size() - written,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return Status(StatusCode::kNetwork,
-                    std::string("send: ") + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
   }
   return Status::Ok();
 }

@@ -81,14 +81,39 @@ bool PreadExact(int fd, std::uint64_t offset, char* out, std::size_t n) {
   return true;
 }
 
-// Scans [from, file_size) for any offset holding a complete CRC-valid
-// record — tells a torn tail (nothing valid follows) from mid-log
-// corruption (later records would be silently dropped). Only runs on the
-// parse-failure path, so quadratic cost is fine; a false positive needs a
-// 1-in-2^32 CRC collision per candidate.
-bool ValidRecordFollows(int fd, std::uint64_t from, std::uint64_t file_size) {
+// The end of the file's data: `file_size` less the run of zero bytes it
+// ends with. A syncing log preallocates zeros past its last record
+// (CommitLog), so a crash leaves them behind the records it wrote.
+bool DataEnd(int fd, std::uint64_t file_size, std::uint64_t* data_end) {
+  char buf[1 << 16];
+  std::uint64_t end = file_size;
+  while (end > 0) {
+    const std::size_t n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(sizeof(buf), end));
+    if (!PreadExact(fd, end - n, buf, n)) return false;
+    for (std::size_t i = n; i > 0; --i) {
+      if (buf[i - 1] != 0) {
+        *data_end = end - n + i;
+        return true;
+      }
+    }
+    end -= n;
+  }
+  *data_end = 0;
+  return true;
+}
+
+// Scans [from, data_end) for any offset starting a complete CRC-valid
+// record (which may run on into the zeros up to file_size) — tells a torn
+// tail (nothing valid follows) from mid-log corruption (later records would
+// be silently dropped). A record holds a nonzero type byte, so none starts
+// inside the zero tail, and the probe never walks it. Only runs when
+// recovery meets a bad record, so quadratic cost is fine; a false positive
+// needs a 1-in-2^32 CRC collision per candidate.
+bool ValidRecordFollows(int fd, std::uint64_t from, std::uint64_t data_end,
+                        std::uint64_t file_size) {
   std::string buf;
-  for (std::uint64_t q = from; q + 5 <= file_size; ++q) {
+  for (std::uint64_t q = from; q < data_end && q + 5 <= file_size; ++q) {
     // Header-worth of bytes: crc + type + three max-length varints.
     buf.resize(static_cast<std::size_t>(
         std::min<std::uint64_t>(file_size - q, 4 + 1 + 30)));
@@ -202,27 +227,30 @@ Status Scan(const std::string& path, std::uint64_t buffer_bytes,
         window.data() + (pos - window_start),
         static_cast<std::size_t>(window.size() - (pos - window_start)),
         &record, &key_at, &key_len);
-    if (len == 0 || pos + len > file_size) {
-      // The tail does not hold one whole well-formed record. A crash mid-
-      // append looks exactly like this (torn tail) — but so does a damaged
-      // length field mid-log. Resync: if any complete CRC-valid record
-      // follows, this is corruption, not a torn tail.
-      if (ValidRecordFollows(fd, pos + 1, file_size)) {
-        failure = Status(StatusCode::kCorruption,
-                         "log corrupt at offset " + std::to_string(pos));
-      }
-      break;
-    }
-    if (!ensure(pos, pos + len)) {
+    const bool whole = len != 0 && pos + len <= file_size;
+    if (whole && !ensure(pos, pos + len)) {
       failure = Status(StatusCode::kInternal, "log read failed in recovery");
       break;
     }
     const char* base = window.data() + (pos - window_start);
-    const std::string_view body(base + 4, static_cast<std::size_t>(len - 4));
-    if (Crc32c(body) != LoadCrc(base)) {
-      // A torn tail from a crash is expected; corruption mid-log (more
-      // records follow) is an error.
-      if (pos + len < file_size) {
+    const bool valid =
+        whole && Crc32c(std::string_view(
+                     base + 4, static_cast<std::size_t>(len - 4))) ==
+                     LoadCrc(base);
+    if (!valid) {
+      // The log does not go on with one whole valid record. A crash mid-
+      // append looks exactly like this (a torn tail, possibly followed by
+      // the zeros a syncing log preallocates) — but so does damage mid-log,
+      // to a length field or a payload. It is corruption if bytes other
+      // than zeros follow the record, or if any complete CRC-valid record
+      // starts after its first byte.
+      std::uint64_t data_end = 0;
+      if (!DataEnd(fd, file_size, &data_end)) {
+        failure = Status(StatusCode::kInternal, "log read failed in recovery");
+        break;
+      }
+      if ((whole && pos + len < data_end) ||
+          ValidRecordFollows(fd, pos + 1, data_end, file_size)) {
         failure = Status(StatusCode::kCorruption,
                          "log corrupt at offset " + std::to_string(pos));
       }
@@ -282,12 +310,32 @@ Status WriteAll(int fd, std::string_view data) {
   return Status::Ok();
 }
 
+// Writes `data` at `offset`, not at the file's end: a syncing log's file
+// runs past its last record into preallocated space.
+Status PwriteAll(int fd, std::string_view data, std::uint64_t offset) {
+  std::size_t written = 0;
+  while (written < data.size()) {
+    ssize_t n = ::pwrite(fd, data.data() + written, data.size() - written,
+                         static_cast<off_t>(offset + written));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status(StatusCode::kInternal,
+                    std::string("log write failed: ") + std::strerror(errno));
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return Status::Ok();
+}
+
 std::string DirectoryOf(const std::string& path) {
   const std::size_t slash = path.rfind('/');
   if (slash == std::string::npos) return ".";
   if (slash == 0) return "/";
   return path.substr(0, slash);
 }
+
+// How far ahead of its last record a syncing log allocates its file.
+constexpr std::uint64_t kPreallocStep = std::uint64_t{1} << 20;
 
 std::atomic<std::uint64_t> next_log_id{1};
 
@@ -393,7 +441,14 @@ CommitLog::~CommitLog() {
     leftovers.swap(durable_waiters_);
   }
   Resolve(&leftovers, !failed());
-  if (fd_ >= 0) ::close(fd_);
+  if (fd_ >= 0) {
+    // A clean close gives back the preallocated space past the last record.
+    if (!failed() && allocated_ > size()) {
+      [[maybe_unused]] int rc =
+          ::ftruncate(fd_, static_cast<off_t>(size()));
+    }
+    ::close(fd_);
+  }
 }
 
 void CommitLog::StopFlusher() {
@@ -411,7 +466,7 @@ Status CommitLog::Reopen() {
   // An fsync in flight must not land on a closed (or reused) descriptor.
   idle_cv_.wait(lock, [&] { return syncing_ == 0; });
   if (fd_ >= 0) ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT, 0644);
   struct stat st;
   if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
     failed_.store(true, std::memory_order_relaxed);
@@ -419,7 +474,25 @@ Status CommitLog::Reopen() {
   }
   size_.store(static_cast<std::uint64_t>(st.st_size),
               std::memory_order_relaxed);
+  allocated_ = static_cast<std::uint64_t>(st.st_size);
+  preallocate_ = options_.durability != DurabilityMode::kNone;
   return Status::Ok();
+}
+
+void CommitLog::PreallocateLocked(std::uint64_t end) {
+  const std::uint64_t target = (end / kPreallocStep + 1) * kPreallocStep;
+  int rc = 0;
+  do {
+    rc = ::fallocate(fd_, 0, static_cast<off_t>(allocated_),
+                     static_cast<off_t>(target - allocated_));
+  } while (rc != 0 && errno == EINTR);
+  if (rc == 0) {
+    allocated_ = target;
+  } else {
+    // Not supported by this file system (or out of space): grow the file
+    // one append at a time, committing its size with every sync.
+    preallocate_ = false;
+  }
 }
 
 Status CommitLog::Append(std::string_view record, std::uint64_t* offset,
@@ -428,15 +501,19 @@ Status CommitLog::Append(std::string_view record, std::uint64_t* offset,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (failed()) return SyncFailed();
-    Status status = WriteAll(fd_, record);
+    const std::uint64_t end = size_.load(std::memory_order_relaxed);
+    if (preallocate_ && end + record.size() > allocated_) {
+      PreallocateLocked(end + record.size());
+    }
+    Status status = PwriteAll(fd_, record, end);
     if (!status.ok()) {
       // A short write can leave a partial record in the page cache; every
       // later append would then land after garbage.
       failed_.store(true, std::memory_order_relaxed);
       return status;
     }
-    *offset = size_.load(std::memory_order_relaxed);
-    size_.store(*offset + record.size(), std::memory_order_relaxed);
+    *offset = end;
+    size_.store(end + record.size(), std::memory_order_relaxed);
     if (options_.durability == DurabilityMode::kGroupCommit) {
       ++pending_ops_;
       *token = ++appended_seq_;

@@ -5,6 +5,14 @@
 // share one through NoVoHTInstanceLog, so the instance has one flusher and
 // one commit horizon however many partitions it holds.
 //
+// Records are written with pwrite at the log's logical end (size()). A
+// syncing log (every_op, group_commit) extends its file with fallocate in
+// 1 MiB steps ahead of that end, so the fdatasync of a record commits no
+// change of file size; the file therefore ends in up to 1 MiB of zeros,
+// which a clean close truncates away and recovery (logrec::Scan) reads as
+// the end of the log. Where fallocate fails, the file grows one append at
+// a time, as a `none` log's always does.
+//
 // The record codec (logrec) is shared by both log shapes and by the
 // per-partition checkpoint files, which are standalone NoVoHT logs.
 #pragma once
@@ -65,9 +73,11 @@ struct Record {
 
 // Replays the file at `path` record by record through a window of about
 // `buffer_bytes`. A missing file is empty. A torn tail (nothing CRC-valid
-// follows the first bad byte) ends the scan; damage with valid records
-// after it is kCorruption. *valid_end receives the end of the last good
-// record; the caller decides whether to trim the rest.
+// follows the first bad byte) ends the scan, and so do the zero bytes a
+// syncing log preallocates, with or without a torn record before them;
+// damage with valid records or other nonzero bytes after it is
+// kCorruption. *valid_end receives the end of the last good record; the
+// caller decides whether to trim the rest.
 Status Scan(const std::string& path, std::uint64_t buffer_bytes,
             const std::function<Status(const Record&)>& visit,
             std::uint64_t* valid_end);
@@ -107,20 +117,23 @@ struct CommitLogOptions {
 
 class CommitLog {
  public:
-  // Opens `path` for appends (creating it). The flusher thread runs in
+  // Opens `path` for appends (creating it); the file must end with its
+  // last record, as recovery's trim leaves it. The flusher thread runs in
   // group-commit mode, or whenever `maintenance` is set: the flusher runs
   // it between fsyncs after RequestMaintenance().
   static Result<std::unique_ptr<CommitLog>> Open(
       std::string path, CommitLogOptions options,
       std::function<void()> maintenance = nullptr);
 
-  // Stops the flusher (which syncs outstanding commits first) and resolves
-  // any callback still parked.
+  // Stops the flusher (which syncs outstanding commits first), resolves
+  // any callback still parked and, unless the log failed, truncates the
+  // file to its logical end.
   ~CommitLog();
   CommitLog(const CommitLog&) = delete;
   CommitLog& operator=(const CommitLog&) = delete;
 
-  // Appends one encoded record. *offset receives its position in the file.
+  // Writes one encoded record at the logical end. *offset receives its
+  // position in the file.
   // kEveryOp syncs before returning; kGroupCommit returns a token for
   // WaitDurable/NotifyDurable in *token (0 otherwise). A short write or a
   // failed fsync poisons the log: the tail is unknowable.
@@ -133,7 +146,7 @@ class CommitLog {
   void NotifyDurable(std::uint64_t token, std::function<void(Status)> done);
 
   // Makes every record appended so far durable from the calling thread,
-  // whatever the mode; *covered receives the file size it covers. Never
+  // whatever the mode; *covered receives the logical end it covers. Never
   // waits on the flusher, so a caller holding a store lock may use it.
   Status Sync(std::uint64_t* covered = nullptr);
 
@@ -147,6 +160,7 @@ class CommitLog {
 
   void RequestMaintenance();
 
+  // The logical end: the file less its preallocated zeros.
   std::uint64_t size() const { return size_.load(std::memory_order_relaxed); }
   bool failed() const { return failed_.load(std::memory_order_relaxed); }
   // Poisons the log after a failed fsync of its file or a checkpoint.
@@ -166,6 +180,9 @@ class CommitLog {
     std::uint64_t token;
     std::function<void(Status)> done;
   };
+  // Extends the file with zeros to the next 1 MiB step past `end`; on
+  // failure, stops preallocating this file.
+  void PreallocateLocked(std::uint64_t end);
   void FlusherLoop();
   // Records a finished fsync of commits up to `target` (under mu_) and
   // returns the waiters it satisfies.
@@ -186,7 +203,9 @@ class CommitLog {
   std::condition_variable flusher_cv_;  // work for the flusher
   std::condition_variable idle_cv_;     // syncing_ dropped to 0
   int fd_ = -1;
-  std::atomic<std::uint64_t> size_{0};
+  std::atomic<std::uint64_t> size_{0};  // the logical end: after the last record
+  std::uint64_t allocated_ = 0;         // the file's size, >= size_
+  bool preallocate_ = false;            // a syncing log where fallocate works
   std::uint64_t appended_seq_ = 0;  // commits accepted so far
   std::uint64_t durable_seq_ = 0;   // commits covered by an fsync
   std::uint64_t pending_ops_ = 0;   // commits since the last group fsync

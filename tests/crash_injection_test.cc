@@ -7,9 +7,15 @@
 //      fully on disk at the cut is recovered, every later op is gone, and
 //   3. the recovered store is writable again.
 //
+// A syncing log's file runs past its last record into preallocated zeros,
+// so every cut is recovered in two shapes: truncated at the cut, and
+// zero-filled from the cut to the size the file had while open (what a
+// crash leaves now).
+//
 // Byte *damage* (as opposed to a torn tail) must be told apart: a flipped
-// byte with valid records after it is kCorruption; a flipped byte in the
-// final record is indistinguishable from a torn write and is trimmed.
+// byte with valid records after it is kCorruption, zero tail or not; a
+// flipped byte in the final record is indistinguishable from a torn write
+// and is trimmed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,22 +41,33 @@ class TornFile {
   TornFile(std::string source, std::string scratch)
       : source_(std::move(source)), scratch_(std::move(scratch)) {}
 
-  // The log as a crash at byte `offset` would leave it.
-  const std::string& TruncatedAt(std::uint64_t offset) {
+  // The log as a crash at byte `offset` would leave it: truncated there,
+  // then, when `zero_fill_to` is past it, zeros up to that size.
+  const std::string& TruncatedAt(std::uint64_t offset,
+                                 std::uint64_t zero_fill_to = 0) {
     fs::copy_file(source_, scratch_, fs::copy_options::overwrite_existing);
     fs::resize_file(scratch_, offset);
+    if (zero_fill_to > offset) fs::resize_file(scratch_, zero_fill_to);
     return scratch_;
   }
 
-  // The log with the byte at `offset` flipped (media damage, not a crash).
-  const std::string& CorruptedAt(std::uint64_t offset) {
+  // The log with the byte at `offset` flipped (media damage, not a crash),
+  // then zeros up to `zero_fill_to` when that is past its end.
+  const std::string& CorruptedAt(std::uint64_t offset,
+                                 std::uint64_t zero_fill_to = 0) {
     fs::copy_file(source_, scratch_, fs::copy_options::overwrite_existing);
-    std::fstream f(scratch_, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    f.get(byte);
-    f.seekp(static_cast<std::streamoff>(offset));
-    f.put(static_cast<char>(byte ^ 0x5A));
+    {
+      std::fstream f(scratch_,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(static_cast<std::streamoff>(offset));
+      char byte = 0;
+      f.get(byte);
+      f.seekp(static_cast<std::streamoff>(offset));
+      f.put(static_cast<char>(byte ^ 0x5A));
+    }
+    if (zero_fill_to > fs::file_size(scratch_)) {
+      fs::resize_file(scratch_, zero_fill_to);
+    }
     return scratch_;
   }
 
@@ -63,7 +80,7 @@ struct LoggedOp {
   enum Kind { kPut, kRemove, kAppend } kind;
   std::string key;
   std::string value;
-  std::uint64_t log_end = 0;  // log size once this record was on disk
+  std::uint64_t log_end = 0;  // logical log end once this record was on disk
 };
 
 // Applies the first `count` ops to an in-memory model.
@@ -114,6 +131,8 @@ class CrashInjectionTest
   // boundary its ack corresponds to. With every_op and with group_commit
   // (wait_for_durable defaults to true) an acked op is on disk by the time
   // the call returns, so the boundary after the call bounds its record.
+  // The boundary is the log's logical end (a standalone store's log_bytes);
+  // allocated_ receives the file's size while the store was still open.
   std::vector<LoggedOp> RunWorkload(const NoVoHTOptions& options) {
     auto store = NoVoHT::Open(options);
     EXPECT_TRUE(store.ok());
@@ -135,13 +154,15 @@ class CrashInjectionTest
         EXPECT_TRUE(status.ok() ||
                     status.code() == StatusCode::kNotFound);
       }
-      op.log_end = fs::file_size(options.path);
+      op.log_end = (*store)->stats().log_bytes;
       ops.push_back(op);
     }
+    allocated_ = fs::file_size(options.path);
     return ops;  // store closes here; the source log is final
   }
 
   fs::path dir_;
+  std::uint64_t allocated_ = 0;
 };
 
 // The tentpole property: kill the store at EVERY byte offset of the log —
@@ -151,33 +172,45 @@ class CrashInjectionTest
 TEST_P(CrashInjectionTest, EveryCutPointRecoversAckedPrefix) {
   NoVoHTOptions source = Options("source.nvt");
   std::vector<LoggedOp> ops = RunWorkload(source);
+  // The clean close truncated the file to its logical end.
   const std::uint64_t log_size = fs::file_size(source.path);
   ASSERT_EQ(log_size, ops.back().log_end);
+  ASSERT_GE(allocated_, log_size);
 
   TornFile torn(source.path, Path("crashed.nvt"));
   NoVoHTOptions recovered = Options("crashed.nvt");
 
   for (std::uint64_t cut = 0; cut <= log_size; ++cut) {
-    torn.TruncatedAt(cut);
-    auto reopened = NoVoHT::Open(recovered);
-    ASSERT_TRUE(reopened.ok())
-        << "cut at byte " << cut << " of " << log_size
-        << " misreported as: " << reopened.status().ToString();
+    for (const bool zero_filled : {false, true}) {
+      const char* shape = zero_filled ? " (zero-filled)" : " (truncated)";
+      torn.TruncatedAt(cut, zero_filled ? allocated_ : 0);
+      auto reopened = NoVoHT::Open(recovered);
+      ASSERT_TRUE(reopened.ok())
+          << "cut at byte " << cut << " of " << log_size << shape
+          << " misreported as: " << reopened.status().ToString();
 
-    // Ops whose record fully precedes the cut are the acked-durable prefix.
-    std::size_t durable = 0;
-    while (durable < ops.size() && ops[durable].log_end <= cut) ++durable;
-    auto model = Model(ops, durable);
+      // Ops whose record fully precedes the cut are the acked-durable
+      // prefix; recovery trimmed everything after the last of them.
+      std::size_t durable = 0;
+      while (durable < ops.size() && ops[durable].log_end <= cut) ++durable;
+      auto model = Model(ops, durable);
+      ASSERT_EQ(fs::file_size(recovered.path),
+                durable == 0 ? 0 : ops[durable - 1].log_end)
+          << "cut at byte " << cut << shape;
 
-    ASSERT_EQ((*reopened)->Size(), model.size()) << "cut at byte " << cut;
-    for (const auto& [key, value] : model) {
-      auto got = (*reopened)->Get(key);
-      ASSERT_TRUE(got.ok()) << "acked op lost at cut " << cut << ": " << key;
-      ASSERT_EQ(*got, value) << "cut at byte " << cut;
-    }
-    // Sampled writability check (every reopen would dominate the runtime).
-    if (cut % 512 == 0) {
-      ASSERT_TRUE((*reopened)->Put("postcrash", "writable").ok());
+      ASSERT_EQ((*reopened)->Size(), model.size())
+          << "cut at byte " << cut << shape;
+      for (const auto& [key, value] : model) {
+        auto got = (*reopened)->Get(key);
+        ASSERT_TRUE(got.ok())
+            << "acked op lost at cut " << cut << shape << ": " << key;
+        ASSERT_EQ(*got, value) << "cut at byte " << cut << shape;
+      }
+      // Sampled writability check (every reopen would dominate the
+      // runtime).
+      if (cut % 512 == 0) {
+        ASSERT_TRUE((*reopened)->Put("postcrash", "writable").ok());
+      }
     }
   }
 }
@@ -201,6 +234,56 @@ TEST_P(CrashInjectionTest, DamageBeforeTailIsCorruption) {
     EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
         << "damage at byte " << offset;
   }
+}
+
+// The same damage in a log that ends in its preallocated zeros: the zeros
+// end the log, but they do not excuse the damage before it.
+TEST_P(CrashInjectionTest, DamageBeforeZeroTailIsCorruption) {
+  NoVoHTOptions source = Options("source.nvt");
+  std::vector<LoggedOp> ops = RunWorkload(source);
+  TornFile torn(source.path, Path("damaged.nvt"));
+  NoVoHTOptions recovered = Options("damaged.nvt");
+  const std::uint64_t zero_tail = ops.back().log_end + (1u << 20);
+
+  const std::uint64_t mid_start = ops[ops.size() / 2 - 1].log_end;
+  for (std::uint64_t offset : {std::uint64_t{8}, mid_start + 5}) {
+    torn.CorruptedAt(offset, zero_tail);
+    auto reopened = NoVoHT::Open(recovered);
+    ASSERT_FALSE(reopened.ok()) << "damage at byte " << offset;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+        << "damage at byte " << offset;
+  }
+}
+
+// A crash mid-append of a syncing log: a torn record, then a MiB of the
+// zeros preallocated after it. Both are trimmed and the store takes writes.
+TEST_P(CrashInjectionTest, TornRecordBeforeZeroTailIsTrimmed) {
+  NoVoHTOptions source = Options("source.nvt");
+  std::vector<LoggedOp> ops = RunWorkload(source);
+  TornFile torn(source.path, Path("tail.nvt"));
+  NoVoHTOptions recovered = Options("tail.nvt");
+
+  const std::uint64_t last_start = ops[ops.size() - 2].log_end;
+  const std::uint64_t cut = (last_start + ops.back().log_end) / 2;
+  ASSERT_GT(cut, last_start);
+  torn.TruncatedAt(cut, cut + (1u << 20));
+  auto reopened = NoVoHT::Open(recovered);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(fs::file_size(recovered.path), last_start);
+
+  auto model = Model(ops, ops.size() - 1);
+  EXPECT_EQ((*reopened)->Size(), model.size());
+  for (const auto& [key, value] : model) {
+    auto got = (*reopened)->Get(key);
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_EQ(*got, value);
+  }
+  ASSERT_TRUE((*reopened)->Put("postcrash", "writable").ok());
+  reopened->reset();
+  auto again = NoVoHT::Open(recovered);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->Get("postcrash").value(), "writable");
+  EXPECT_EQ((*again)->Size(), model.size() + 1);
 }
 
 // Damage confined to the final record is indistinguishable from a torn

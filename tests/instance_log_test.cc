@@ -5,6 +5,8 @@
 // while the checkpoint files stay as they were. For every cut point each
 // partition must recover exactly its acked-durable prefix: every op its
 // checkpoint covers, plus every later op whose record precedes the cut.
+// The log preallocates zeros past its last record, so each cut is
+// recovered truncated there and zero-filled up to the file's open size.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -31,7 +33,7 @@ struct Event {
   std::uint64_t partition = 0;
   std::string key;
   std::string value;
-  std::uint64_t log_end = 0;  // log size once the event's record was acked
+  std::uint64_t log_end = 0;  // logical log end once the record was acked
 };
 
 // Partition `p` after a crash that cut the log at `cut`.
@@ -100,6 +102,8 @@ class InstanceLogCrashTest : public ::testing::TestWithParam<DurabilityMode> {
   // Runs interleaved ops over three partitions with one Clear and one
   // checkpoint in the middle, then freezes the log and checkpoint files
   // as a crash would leave them (before the clean close rewrites them).
+  // The frozen log keeps its records only; allocated_ receives the size
+  // the open file had, so CrashedAt can put the zeros back.
   std::vector<Event> RunWorkload() {
     const fs::path source = dir_ / "source";
     auto log = NoVoHTInstanceLog::Open(LogPath(source), Prefix(source),
@@ -140,17 +144,20 @@ class InstanceLogCrashTest : public ::testing::TestWithParam<DurabilityMode> {
           EXPECT_TRUE(status.ok() || status.code() == StatusCode::kNotFound);
         }
       }
-      e.log_end = fs::file_size(LogPath(source));
+      e.log_end = (*log)->log().size();
       events.push_back(e);
     }
+    allocated_ = fs::file_size(LogPath(source));
     for (const auto& entry : fs::directory_iterator(source)) {
       fs::copy_file(entry.path(), dir_ / "frozen" / entry.path().filename());
     }
+    fs::resize_file(LogPath(dir_ / "frozen"), (*log)->log().size());
     return events;
   }
 
-  // The frozen files with the log cut at `cut`, in a fresh directory.
-  fs::path CrashedAt(std::uint64_t cut) {
+  // The frozen files with the log cut at `cut`, in a fresh directory; when
+  // `zero_filled`, the log then runs on in zeros to allocated_.
+  fs::path CrashedAt(std::uint64_t cut, bool zero_filled = false) {
     const fs::path crashed = dir_ / "crashed";
     fs::remove_all(crashed);
     fs::create_directories(crashed);
@@ -158,10 +165,25 @@ class InstanceLogCrashTest : public ::testing::TestWithParam<DurabilityMode> {
       fs::copy_file(entry.path(), crashed / entry.path().filename());
     }
     fs::resize_file(LogPath(crashed), cut);
+    if (zero_filled && allocated_ > cut) {
+      fs::resize_file(LogPath(crashed), allocated_);
+    }
     return crashed;
   }
 
+  // Flips the byte at `offset` of the crashed log (media damage).
+  static void Corrupt(const fs::path& crashed, std::uint64_t offset) {
+    std::fstream f(LogPath(crashed),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(offset));
+    char byte = 0;
+    f.get(byte);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(static_cast<char>(byte ^ 0x5A));
+  }
+
   fs::path dir_;
+  std::uint64_t allocated_ = 0;
 };
 
 TEST_P(InstanceLogCrashTest, EveryCutPointRecoversEachPartitionsAckedPrefix) {
@@ -175,51 +197,56 @@ TEST_P(InstanceLogCrashTest, EveryCutPointRecoversEachPartitionsAckedPrefix) {
   NoVoHTOptions reopen = Options();
   reopen.fsync_hook = [](int) { return 0; };
   for (std::uint64_t cut = 0; cut <= log_size; ++cut) {
-    const fs::path crashed = CrashedAt(cut);
-    auto log = NoVoHTInstanceLog::Open(LogPath(crashed), Prefix(crashed),
-                                       reopen);
-    ASSERT_TRUE(log.ok()) << "cut at byte " << cut << " of " << log_size
-                          << " misreported as: " << log.status().ToString();
-    // Sampled (every reopen would dominate the runtime), including every
-    // cut inside the log's base record: the recovered log takes writes
-    // that survive a second crash.
-    const bool rewrite = cut < 16 || cut % 256 == 0;
-    for (std::uint64_t p : kPartitions) {
-      auto store = (*log)->OpenPartition(p);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      const auto model = Model(events, p, cut);
-      ASSERT_EQ((*store)->Size(), model.size())
-          << "partition " << p << ", cut at byte " << cut;
-      for (const auto& [key, value] : model) {
-        auto got = (*store)->Get(key);
-        ASSERT_TRUE(got.ok()) << "acked op lost: partition " << p << " key "
-                              << key << ", cut at byte " << cut;
-        ASSERT_EQ(*got, value) << "partition " << p << ", cut at byte " << cut;
-      }
-      if (rewrite) {
-        ASSERT_TRUE((*store)->Put("postcrash", std::to_string(p)).ok());
-      }
-    }
-    if (!rewrite) continue;
-    // Crash again with the writes acked, and recover a copy of the files.
-    const fs::path recrashed = dir_ / "recrashed";
-    fs::remove_all(recrashed);
-    fs::create_directories(recrashed);
-    for (const auto& entry : fs::directory_iterator(crashed)) {
-      fs::copy_file(entry.path(), recrashed / entry.path().filename());
-    }
-    auto again = NoVoHTInstanceLog::Open(LogPath(recrashed), Prefix(recrashed),
+    for (const bool zero_filled : {false, true}) {
+      const fs::path crashed = CrashedAt(cut, zero_filled);
+      const char* shape = zero_filled ? " (zero-filled)" : " (truncated)";
+      auto log = NoVoHTInstanceLog::Open(LogPath(crashed), Prefix(crashed),
                                          reopen);
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    for (std::uint64_t p : kPartitions) {
-      auto store = (*again)->OpenPartition(p);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      auto got = (*store)->Get("postcrash");
-      ASSERT_TRUE(got.ok()) << "acked write after recovery lost: partition "
-                            << p << ", first cut at byte " << cut;
-      EXPECT_EQ(*got, std::to_string(p));
-      EXPECT_EQ((*store)->Size(), Model(events, p, cut).size() + 1)
-          << "partition " << p << ", first cut at byte " << cut;
+      ASSERT_TRUE(log.ok()) << "cut at byte " << cut << " of " << log_size
+                            << shape << " misreported as: "
+                            << log.status().ToString();
+      // Sampled (every reopen would dominate the runtime), including every
+      // cut inside the log's base record: the recovered log takes writes
+      // that survive a second crash.
+      const bool rewrite = cut < 16 || cut % 256 == 0;
+      for (std::uint64_t p : kPartitions) {
+        auto store = (*log)->OpenPartition(p);
+        ASSERT_TRUE(store.ok()) << store.status().ToString();
+        const auto model = Model(events, p, cut);
+        ASSERT_EQ((*store)->Size(), model.size())
+            << "partition " << p << ", cut at byte " << cut << shape;
+        for (const auto& [key, value] : model) {
+          auto got = (*store)->Get(key);
+          ASSERT_TRUE(got.ok()) << "acked op lost: partition " << p << " key "
+                                << key << ", cut at byte " << cut << shape;
+          ASSERT_EQ(*got, value)
+              << "partition " << p << ", cut at byte " << cut << shape;
+        }
+        if (rewrite) {
+          ASSERT_TRUE((*store)->Put("postcrash", std::to_string(p)).ok());
+        }
+      }
+      if (!rewrite) continue;
+      // Crash again with the writes acked, and recover a copy of the files.
+      const fs::path recrashed = dir_ / "recrashed";
+      fs::remove_all(recrashed);
+      fs::create_directories(recrashed);
+      for (const auto& entry : fs::directory_iterator(crashed)) {
+        fs::copy_file(entry.path(), recrashed / entry.path().filename());
+      }
+      auto again = NoVoHTInstanceLog::Open(LogPath(recrashed),
+                                           Prefix(recrashed), reopen);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      for (std::uint64_t p : kPartitions) {
+        auto store = (*again)->OpenPartition(p);
+        ASSERT_TRUE(store.ok()) << store.status().ToString();
+        auto got = (*store)->Get("postcrash");
+        ASSERT_TRUE(got.ok()) << "acked write after recovery lost: partition "
+                              << p << ", first cut at byte " << cut << shape;
+        EXPECT_EQ(*got, std::to_string(p));
+        EXPECT_EQ((*store)->Size(), Model(events, p, cut).size() + 1)
+            << "partition " << p << ", first cut at byte " << cut << shape;
+      }
     }
   }
 }
@@ -227,17 +254,22 @@ TEST_P(InstanceLogCrashTest, EveryCutPointRecoversEachPartitionsAckedPrefix) {
 // Damage before the tail is corruption, as in a store's own log.
 TEST_P(InstanceLogCrashTest, DamageBeforeTailIsCorruption) {
   const std::vector<Event> events = RunWorkload();
-  const fs::path crashed = CrashedAt(fs::file_size(LogPath(dir_ / "frozen")));
-  const std::uint64_t offset = events[events.size() / 2].log_end + 5;
-  {
-    std::fstream f(LogPath(crashed),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    f.get(byte);
-    f.seekp(static_cast<std::streamoff>(offset));
-    f.put(static_cast<char>(byte ^ 0x5A));
-  }
+  const fs::path crashed = CrashedAt(events.back().log_end);
+  Corrupt(crashed, events[events.size() / 2].log_end + 5);
+  auto log =
+      NoVoHTInstanceLog::Open(LogPath(crashed), Prefix(crashed), Options());
+  ASSERT_FALSE(log.ok());
+  EXPECT_EQ(log.status().code(), StatusCode::kCorruption);
+}
+
+// The same damage before the preallocated zeros a crash leaves behind the
+// last record is still corruption.
+TEST_P(InstanceLogCrashTest, DamageBeforeZeroTailIsCorruption) {
+  const std::vector<Event> events = RunWorkload();
+  const fs::path crashed =
+      CrashedAt(events.back().log_end, /*zero_filled=*/true);
+  ASSERT_GT(fs::file_size(LogPath(crashed)), events.back().log_end);
+  Corrupt(crashed, events[events.size() / 2].log_end + 5);
   auto log =
       NoVoHTInstanceLog::Open(LogPath(crashed), Prefix(crashed), Options());
   ASSERT_FALSE(log.ok());

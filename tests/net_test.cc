@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
@@ -666,16 +667,30 @@ TEST(TcpClientTest, StaleCachedConnectionRecovers) {
 // force the reactor's connection map to rehash mid-drain.
 struct EpollServerTestPeer {
   static void InjectConnection(EpollServer& server, int fd) {
-    server.reactors_[0]->connections.emplace(fd, EpollServer::Connection{});
+    auto conn = std::make_shared<EpollServer::Connection>();
+    conn->fd = fd;
+    conn->epoll_fd = server.reactors_[0]->epoll_fd;
+    server.reactors_[0]->connections.emplace(fd, std::move(conn));
   }
   static void FeedBytes(EpollServer& server, int fd, std::string_view bytes) {
-    server.reactors_[0]->connections[fd].in.append(bytes.data(), bytes.size());
+    server.reactors_[0]->connections[fd]->in.append(bytes.data(),
+                                                    bytes.size());
   }
   static void Process(EpollServer& server, int fd) {
     server.ProcessBuffered(*server.reactors_[0], fd);
   }
+  // Connections still open on any reactor: a connection whose send failed
+  // is shut down at once, and its reactor reaps the record on the hangup.
+  // Call it before Start() or after Stop().
   static std::size_t ConnectionCount(const EpollServer& server) {
-    return server.reactors_[0]->connections.size();
+    std::size_t open = 0;
+    for (const auto& reactor : server.reactors_) {
+      for (const auto& [fd, conn] : reactor->connections) {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        if (conn->open) ++open;
+      }
+    }
+    return open;
   }
 };
 
@@ -968,6 +983,212 @@ TEST(EpollServerProcessTest, PlacementRehomesConnectionWithPipelinedFrames) {
   ASSERT_EQ(handled_on["one"].size(), 1u);
   EXPECT_NE(*handled_on["neg"].begin(), *handled_on["big"].begin());
   EXPECT_EQ(*handled_on["one"].begin(), *handled_on["big"].begin());
+}
+
+// A handler for the completion-path tests. Requests keyed "hold..." park
+// their callback (with the request) for the test to complete on a thread
+// of its choosing; "block" holds the reactor that dispatched it inside the
+// handler until Unblock(); the rest echo inline.
+class HoldingHandler {
+ public:
+  struct Held {
+    Request request;
+    ResponseCallback done;
+  };
+
+  AsyncRequestHandler handler() {
+    return [this](Request&& request, ResponseCallback done) {
+      if (request.key.rfind("hold", 0) == 0) {
+        std::lock_guard<std::mutex> lock(mu_);
+        held_.push_back({std::move(request), std::move(done)});
+        cv_.notify_all();
+        return;
+      }
+      if (request.key == "block") {
+        std::unique_lock<std::mutex> lock(mu_);
+        blocking_ = true;
+        cv_.notify_all();
+        cv_.wait_for(lock, std::chrono::seconds(15), [&] { return !block_; });
+      }
+      done(EchoHandler(std::move(request)));
+    };
+  }
+
+  bool WaitHeld(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return held_.size() >= n; });
+  }
+  bool WaitBlocking() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return blocking_; });
+  }
+  void Unblock() {
+    std::lock_guard<std::mutex> lock(mu_);
+    block_ = false;
+    cv_.notify_all();
+  }
+  // Completes held request `i` with its echo, on the calling thread.
+  void Complete(std::size_t i) {
+    Held held;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held = held_[i];
+    }
+    held.done(EchoHandler(std::move(held.request)));
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Held> held_;
+  bool blocking_ = false;
+  bool block_ = true;
+};
+
+// A one-request call from a fresh client on its own thread.
+std::future<Result<Response>> CallAsync(const NodeAddress& address,
+                                        std::string key, std::uint64_t seq) {
+  return std::async(std::launch::async, [address, key, seq] {
+    TcpClient client(TcpClientOptions{.cache_connections = false});
+    Request request;
+    request.op = OpCode::kInsert;
+    request.seq = seq;
+    request.key = key;
+    return client.Call(address, request, 10 * kNanosPerSec);
+  });
+}
+
+// The thread that completes a response sends it: a response completed on
+// a helper thread reaches its client while the only reactor is held inside
+// another connection's handler, instead of waiting for that reactor.
+TEST(EpollServerProcessTest, HelperCompletionSendsWhileReactorIsBusy) {
+  HoldingHandler holding;
+  EpollServerOptions options;
+  options.enable_udp = false;
+  auto server = EpollServer::Create(options, holding.handler());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+  const NodeAddress address = (*server)->address();
+
+  auto held = CallAsync(address, "hold", 1);
+  ASSERT_TRUE(holding.WaitHeld(1));
+  auto blocked = CallAsync(address, "block", 2);
+  ASSERT_TRUE(holding.WaitBlocking());
+
+  holding.Complete(0);
+  const bool reached =
+      held.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  holding.Unblock();
+  EXPECT_TRUE(reached) << "the response waited for the busy reactor";
+  auto response = held.get();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->seq, 1u);
+  EXPECT_EQ(response->value, "hold|");
+  auto unblocked = blocked.get();
+  ASSERT_TRUE(unblocked.ok()) << unblocked.status().ToString();
+  EXPECT_EQ(unblocked->value, "block|");
+  (*server)->Stop();
+}
+
+// Pipelined frames completed from several threads at once, each thread
+// taking its slots in reverse order, arrive in request order.
+TEST(EpollServerProcessTest, PipelinedCompletionsFromThreadsArriveInOrder) {
+  HoldingHandler holding;
+  EpollServerOptions options;
+  options.enable_udp = false;
+  auto server = EpollServer::Create(options, holding.handler());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+
+  constexpr int kFrames = 16;
+  constexpr int kThreads = 4;
+  auto pipelined =
+      std::async(std::launch::async, [address = (*server)->address()] {
+        return PipelineOnNewConnection(address, "hold", kFrames);
+      });
+  ASSERT_TRUE(holding.WaitHeld(kFrames));
+  std::vector<std::thread> completers;
+  for (int t = 0; t < kThreads; ++t) {
+    completers.emplace_back([&holding, t] {
+      for (int slot = kFrames - 1 - t; slot >= 0; slot -= kThreads) {
+        holding.Complete(static_cast<std::size_t>(slot));
+      }
+    });
+  }
+  for (auto& thread : completers) thread.join();
+
+  const std::vector<Response> responses = pipelined.get();
+  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(responses[i].seq, static_cast<std::uint64_t>(i + 1));
+    EXPECT_EQ(responses[i].value, "hold" + std::to_string(i) + "|");
+  }
+  (*server)->Stop();
+}
+
+// A helper-thread completion to a client that hung up (with a reset, so
+// the send fails at once) closes that connection from the helper thread,
+// while the reactor is still busy elsewhere, and the server keeps serving.
+TEST(EpollServerProcessTest, HelperCompletionToHungUpClientClosesIt) {
+  HoldingHandler holding;
+  EpollServerOptions options;
+  options.enable_udp = false;
+  auto server = EpollServer::Create(options, holding.handler());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+  const NodeAddress address = (*server)->address();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(address.port);
+  ::inet_pton(AF_INET, address.host.c_str(), &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  Request request;
+  request.op = OpCode::kInsert;
+  request.seq = 1;
+  request.key = "hold";
+  const std::string frame = FrameMessage(request.Encode());
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  ASSERT_TRUE(holding.WaitHeld(1));
+
+  TcpClient blocker;  // keeps its connection open
+  auto blocked = std::async(std::launch::async, [&] {
+    Request block;
+    block.op = OpCode::kInsert;
+    block.seq = 2;
+    block.key = "block";
+    return blocker.Call(address, block, 10 * kNanosPerSec);
+  });
+  ASSERT_TRUE(holding.WaitBlocking());
+
+  // Hang up with a reset, then complete the held request on this thread.
+  linger reset{1, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)), 0);
+  ::close(fd);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  holding.Complete(0);
+  // The reactor sits in the "block" handler (the wait above orders this
+  // read after its last touch of the map): only the blocker's connection
+  // is still open.
+  EXPECT_EQ(EpollServerTestPeer::ConnectionCount(**server), 1u);
+
+  holding.Unblock();
+  auto unblocked = blocked.get();
+  ASSERT_TRUE(unblocked.ok()) << unblocked.status().ToString();
+  TcpClient client;
+  request.seq = 3;
+  request.key = "next";
+  auto next = client.Call(address, request, kTestTimeout);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->value, "next|");
+  (*server)->Stop();
+  EXPECT_EQ(EpollServerTestPeer::ConnectionCount(**server), 2u);
 }
 
 }  // namespace

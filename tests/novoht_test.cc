@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -298,6 +299,49 @@ TEST_F(NoVoHTTest, EveryMutationHitsTheLog) {
 }
 
 // ------------------------------------------------- NoVoHT durability ----
+
+// A syncing log writes inside space allocated ahead of its last record, so
+// a record's fdatasync commits no change of file size; a clean close gives
+// the space back. A `none` log never preallocates: its file size is exact.
+TEST_F(NoVoHTTest, SyncingLogPreallocatesAndCleanCloseTruncates) {
+  {
+    const std::string probe = Path("probe");
+    const int fd = ::open(probe.c_str(), O_WRONLY | O_CREAT, 0644);
+    ASSERT_GE(fd, 0);
+    const int rc = ::fallocate(fd, 0, 0, 4096);
+    ::close(fd);
+    if (rc != 0) GTEST_SKIP() << "fallocate unsupported here";
+  }
+  constexpr std::uint64_t kStep = 1u << 20;
+  for (DurabilityMode mode :
+       {DurabilityMode::kNone, DurabilityMode::kEveryOp,
+        DurabilityMode::kGroupCommit}) {
+    NoVoHTOptions options;
+    options.path = Path(std::string("prealloc_") + DurabilityModeName(mode));
+    options.durability = mode;
+    std::uint64_t logical = 0;
+    {
+      auto store = NoVoHT::Open(options);
+      ASSERT_TRUE(store.ok());
+      for (int i = 0; i < 50; ++i) {
+        ASSERT_TRUE((*store)->Put("k" + std::to_string(i), "v").ok());
+        logical = (*store)->stats().log_bytes;
+        const std::uint64_t size = fs::file_size(options.path);
+        if (mode == DurabilityMode::kNone) {
+          ASSERT_EQ(size, logical) << "op " << i;
+        } else {
+          ASSERT_EQ(size % kStep, 0u) << DurabilityModeName(mode);
+          ASSERT_GT(size, logical) << DurabilityModeName(mode);
+        }
+      }
+    }
+    EXPECT_EQ(fs::file_size(options.path), logical)
+        << DurabilityModeName(mode);
+    auto reopened = NoVoHT::Open(options);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ((*reopened)->Size(), 50u);
+  }
+}
 
 TEST_F(NoVoHTTest, EveryOpFsyncFailurePoisonsStore) {
   NoVoHTOptions options;
